@@ -14,6 +14,7 @@ use crate::tensor::{softmax_rows, QTensor, Tensor};
 use lp::codec::BoundedCache;
 use lp::Quantizer;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -928,8 +929,11 @@ impl Model {
             if node.op.is_weighted() {
                 if let Some(s) = act_scheme {
                     if let Some(q) = &s.activations[li] {
+                        // Resolve the format's kernel (its decode-table
+                        // lookup) once for the layer, not once per input.
+                        let sq = q.slice_quantizer();
                         for t in &mut outs {
-                            q.quantize_slice(t.data_mut());
+                            sq.quantize_slice(t.data_mut());
                         }
                     }
                 }
@@ -1023,12 +1027,7 @@ fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
         }
         Op::Gelu => {
             let mut t = inputs[0].clone();
-            for v in t.data_mut() {
-                // tanh approximation of GELU
-                let x = *v;
-                let c = (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh();
-                *v = 0.5 * x * (1.0 + c);
-            }
+            gelu_in_place(t.data_mut());
             t
         }
         Op::Add => inputs[0].add(inputs[1]),
@@ -1047,6 +1046,53 @@ fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
             t.reshaped(&[t.len()])
         }
     }
+}
+
+/// GELU, tanh approximation: the reference function that defines every
+/// GELU output, memoized or not.
+fn gelu_ref(x: f32) -> f32 {
+    let c = (0.797_884_6 * (x + 0.044_715 * x * x * x)).tanh();
+    0.5 * x * (1.0 + c)
+}
+
+/// Slot-index width of the GELU memo: 4096 slots of `(u32, f32)`, 32 KB
+/// per thread — room for 12 layers × 256 distinct LP8 activations.
+const GELU_MEMO_BITS: u32 = 12;
+const GELU_MEMO_SLOTS: usize = 1 << GELU_MEMO_BITS;
+
+thread_local! {
+    /// Direct-mapped memo of [`gelu_ref`] keyed by exact input bits. Every
+    /// slot always holds some key together with that key's reference
+    /// output — it starts as `+0.0 ↦ gelu_ref(+0.0)` — so there is no
+    /// empty-slot sentinel that could alias a real input, and a hit
+    /// returns the reference output for exactly those bits.
+    static GELU_MEMO: RefCell<Box<[(u32, f32); GELU_MEMO_SLOTS]>> =
+        RefCell::new(Box::new([(0, gelu_ref(0.0)); GELU_MEMO_SLOTS]));
+}
+
+/// Memo slot of an input bit pattern: the top bits of a multiplicative
+/// (Fibonacci) hash, which spreads the few hundred values of a quantized
+/// layer over the table whatever mantissa bits they use.
+fn gelu_slot(bits: u32) -> usize {
+    (bits.wrapping_mul(0x9E37_79B9) >> (32 - GELU_MEMO_BITS)) as usize
+}
+
+/// Applies GELU in place through this thread's memo: bit-identical to
+/// mapping [`gelu_ref`], for any input. In the zoo's transformers GELU
+/// follows fc1, whose LP8 activation quantizer leaves at most 256
+/// distinct values, so almost every element is a hit and skips `tanh`.
+fn gelu_in_place(xs: &mut [f32]) {
+    GELU_MEMO.with(|memo| {
+        let mut memo = memo.borrow_mut();
+        for x in xs {
+            let bits = x.to_bits();
+            let slot = &mut memo[gelu_slot(bits)];
+            if slot.0 != bits {
+                *slot = (bits, gelu_ref(*x));
+            }
+            *x = slot.1;
+        }
+    });
 }
 
 fn out_dim(dim: usize, k: usize, stride: usize, pad: usize) -> usize {
@@ -1338,12 +1384,48 @@ fn layer_norm(x: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
     out
 }
 
-/// Multi-head attention over pre-projected q, k, v (each `[T, D]`).
+/// Multi-head attention over pre-projected q, k, v (each `[T, D]`), on the
+/// shared GEMM kernel: per head, the scores are `Q_h · K_hᵀ` and the output
+/// is `softmax(scores) · V_h`. Both products accumulate each element in
+/// ascending `k` from `0.0` — the order of the scalar triple loop this
+/// replaced (kept as the test oracle) — so the result is bit-identical to it.
 fn mha(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
     let (t, d) = (q.shape()[0], q.shape()[1]);
     assert_eq!(k.shape(), q.shape(), "mha k shape mismatch");
     assert_eq!(v.shape(), q.shape(), "mha v shape mismatch");
     assert!(d % heads == 0, "head count must divide model dim");
+    let dh = d / heads;
+    let scale = 1.0 / (dh as f32).sqrt();
+    // One head's columns of `x`, gathered into a contiguous `[T, dh]`.
+    let head = |x: &Tensor, off: usize| -> Tensor {
+        let mut hd = Vec::with_capacity(t * dh);
+        for row in 0..t {
+            hd.extend_from_slice(&x.data()[row * d + off..row * d + off + dh]);
+        }
+        Tensor::from_vec(&[t, dh], hd)
+    };
+    let mut out = vec![0.0f32; t * d];
+    for h in 0..heads {
+        let off = h * dh;
+        let mut scores = head(q, off).matmul_t(&head(k, off));
+        for s in scores.data_mut() {
+            *s *= scale;
+        }
+        softmax_rows(&mut scores);
+        let oh = scores.matmul(&head(v, off));
+        for row in 0..t {
+            out[row * d + off..row * d + off + dh]
+                .copy_from_slice(&oh.data()[row * dh..(row + 1) * dh]);
+        }
+    }
+    Tensor::from_vec(&[t, d], out)
+}
+
+/// The scalar triple-loop attention [`mha`] replaced: the bit-identity
+/// oracle for the kernel-routed version.
+#[cfg(test)]
+fn mha_oracle(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
+    let (t, d) = (q.shape()[0], q.shape()[1]);
     let dh = d / heads;
     let scale = 1.0 / (dh as f32).sqrt();
     let mut out = vec![0.0f32; t * d];
@@ -1468,6 +1550,7 @@ fn mean_tokens(x: &Tensor) -> Tensor {
 mod tests {
     use super::*;
     use lp::format::LpParams;
+    use proptest::prelude::*;
 
     fn seq_tensor(shape: &[usize], scale: f32) -> Tensor {
         let len = shape.iter().product();
@@ -1869,6 +1952,97 @@ mod tests {
         assert!(g.data()[0].abs() < 1e-3); // gelu(−10) ≈ 0
         assert_eq!(g.data()[1], 0.0);
         assert!((g.data()[2] - 10.0).abs() < 1e-3); // gelu(10) ≈ 10
+    }
+
+    /// Bit patterns for the GELU memo properties: arbitrary `u32`s plus
+    /// each special class — NaN payloads of both signs, ±0, ±∞ and
+    /// subnormals of both signs.
+    fn gelu_bits() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            0u32..=u32::MAX,
+            0x7F80_0001u32..=0x7FFF_FFFF,
+            0xFF80_0001u32..=0xFFFF_FFFF,
+            0x0000_0001u32..=0x007F_FFFF,
+            0x8000_0001u32..=0x807F_FFFF,
+            0u32..=0,
+            0x8000_0000u32..=0x8000_0000,
+            0x7F80_0000u32..=0x7F80_0000,
+            0xFF80_0000u32..=0xFF80_0000,
+        ]
+    }
+
+    /// The next bit pattern after `bits` that maps to the same memo slot.
+    fn slot_twin(bits: u32) -> u32 {
+        let slot = gelu_slot(bits);
+        (1..)
+            .map(|d| bits.wrapping_add(d))
+            .find(|&b| gelu_slot(b) == slot)
+            .expect("every slot has many keys")
+    }
+
+    fn assert_gelu_matches_reference(bits: &[u32]) {
+        let mut xs: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        gelu_in_place(&mut xs);
+        for (&b, got) in bits.iter().zip(&xs) {
+            let want = gelu_ref(f32::from_bits(b));
+            assert_eq!(got.to_bits(), want.to_bits(), "input bits {b:#010x}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn gelu_memo_is_bit_identical_to_reference(
+            bits in prop::collection::vec(gelu_bits(), 1..200),
+        ) {
+            // Twice: the first pass fills slots, the second hits them.
+            assert_gelu_matches_reference(&bits);
+            assert_gelu_matches_reference(&bits);
+        }
+
+        #[test]
+        fn gelu_memo_survives_slot_collisions(b in gelu_bits()) {
+            // Keys sharing one slot evict each other in turn; the sentinel
+            // key +0.0 (every slot's initial key) and a key sharing its
+            // slot join in, on a fresh thread whose memo is still in its
+            // initial state.
+            let (c, z) = (slot_twin(b), slot_twin(0));
+            let seq = [b, c, b, 0, c, z, 0, b, 0x8000_0000, z, c, 0];
+            std::thread::spawn(move || assert_gelu_matches_reference(&seq))
+                .join()
+                .expect("memo thread");
+            assert_gelu_matches_reference(&seq);
+        }
+
+        #[test]
+        fn mha_is_bit_identical_to_the_triple_loop(
+            t in 1usize..14, heads in 1usize..5, dh in 1usize..10,
+            seed in 0u64..1000,
+        ) {
+            // T runs over non-multiples of the microkernel's 4-row and
+            // 8-column tiles, so every remainder path is covered.
+            let d = heads * dh;
+            let data = |salt: u64| -> Tensor {
+                let v = (0..t * d)
+                    .map(|i| {
+                        let h = (i as u64 * 2654435761 + seed * 40503 + salt) % 10007;
+                        match h % 53 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => 1e-41,
+                            _ => (h as f32 / 10007.0 - 0.5) * 4.0,
+                        }
+                    })
+                    .collect();
+                Tensor::from_vec(&[t, d], v)
+            };
+            let (q, k, v) = (data(1), data(2), data(3));
+            let got = mha(&q, &k, &v, heads);
+            let want = mha_oracle(&q, &k, &v, heads);
+            prop_assert_eq!(got.shape(), want.shape());
+            for (x, y) in got.data().iter().zip(want.data()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
     }
 
     /// A small model touching every GEMM-backed weighted op plus the

@@ -3,7 +3,10 @@
 //! * [`Model::forward_batch`] over `B` stacked inputs is **bit-identical**
 //!   to `B` single [`Model::forward`] calls (the blocked kernel computes
 //!   each output row from its own left-hand row, in a `k`-ascending
-//!   accumulation order independent of how many rows are stacked);
+//!   accumulation order independent of how many rows are stacked) — for
+//!   MLP, CNN and transformer-block graphs, the last also with LP8
+//!   activation quantization, which pins the kernel-routed attention and
+//!   the memoized GELU across batch sizes;
 //! * packed-weight forwards ([`Model::quantize_weights_packed`]) are
 //!   bit-identical to fake-quantized `f32` forwards
 //!   ([`Model::quantize_weights`]) for **all 7 format families**;
@@ -102,6 +105,67 @@ fn cnn(wc: Vec<f32>, wd: Vec<f32>, wl: Vec<f32>, b: Vec<f32>) -> Model {
     m
 }
 
+/// Transformer block geometry: `T` tokens of width `D`, `H` heads, MLP
+/// width `F`, `O` outputs per token.
+const T: usize = 5;
+const D: usize = 6;
+const H: usize = 2;
+const F: usize = 8;
+const O: usize = 3;
+/// Weight and bias counts of [`transformer`]'s six linear layers.
+const TF_WEIGHTS: usize = 4 * D * D + F * D + O * F;
+const TF_BIASES: usize = 4 * D + F + O;
+
+/// A small random transformer block: layer-norm → q/k/v linear → mha →
+/// proj → linear → gelu → linear.
+fn transformer(w: Vec<f32>, b: Vec<f32>) -> Model {
+    let mut m = Model::new("p_transformer", &[T, D], O);
+    let x = m.input_node();
+    let ln = m.push(
+        Op::LayerNorm {
+            gamma: vec![1.0; D],
+            beta: vec![0.03; D],
+        },
+        &[x],
+    );
+    let (mut wo, mut bo) = (0, 0);
+    let mut linear = |m: &mut Model, input: usize, out_f: usize, in_f: usize| {
+        let weight = Tensor::from_vec(&[out_f, in_f], w[wo..wo + out_f * in_f].to_vec());
+        let bias = b[bo..bo + out_f].to_vec();
+        (wo, bo) = (wo + out_f * in_f, bo + out_f);
+        m.push(
+            Op::Linear {
+                weight: weight.into(),
+                bias,
+            },
+            &[input],
+        )
+    };
+    let q = linear(&mut m, ln, D, D);
+    let k = linear(&mut m, ln, D, D);
+    let v = linear(&mut m, ln, D, D);
+    let attn = m.push(Op::Mha { heads: H }, &[q, k, v]);
+    let proj = linear(&mut m, attn, D, D);
+    let fc1 = linear(&mut m, proj, F, D);
+    let g = m.push(Op::Gelu, &[fc1]);
+    let fc2 = linear(&mut m, g, O, F);
+    m.set_output(fc2);
+    m
+}
+
+/// Per-layer LP8 activation quantizers fitted to one forward's IRs, as
+/// the serving scenarios fit them.
+fn lp8_activations(m: &Model, calib: &Tensor) -> QuantScheme {
+    let irs = m.forward_traced(calib, None, true).irs;
+    let mut scheme = QuantScheme::identity(m.num_quant_layers());
+    for (a, ir) in scheme.activations.iter_mut().zip(&irs) {
+        *a = Some(Arc::from(
+            fit_quantizer(FormatKind::Lp, 8, ir.data()).unwrap(),
+        ));
+    }
+    scheme
+}
+
 fn assert_bitwise_eq(got: &Tensor, want: &Tensor, ctx: &str) {
     assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
     for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
@@ -150,6 +214,28 @@ proptest! {
     }
 
     #[test]
+    fn batched_forward_is_bit_identical_to_singles_transformer(
+        w in vecf(TF_WEIGHTS), b in vecf(TF_BIASES),
+        xs in prop::collection::vec(vecf(T * D), 1..5),
+    ) {
+        let m = transformer(w, b);
+        let inputs: Vec<Tensor> = xs.into_iter().map(|d| Tensor::from_vec(&[T, D], d)).collect();
+        let batched = m.forward_batch(&inputs);
+        for (input, got) in inputs.iter().zip(&batched) {
+            assert_bitwise_eq(got, &m.forward(input), "transformer batch-vs-single");
+        }
+        let scheme = lp8_activations(&m, &inputs[0]);
+        let batched = m.forward_batch_quant(&inputs, Some(&scheme));
+        for (input, got) in inputs.iter().zip(&batched) {
+            assert_bitwise_eq(
+                got,
+                &m.forward_traced(input, Some(&scheme), false).output,
+                "transformer lp8-activations batch-vs-single",
+            );
+        }
+    }
+
+    #[test]
     fn packed_forward_matches_fake_quant_for_all_formats_mlp(
         w1 in vecf(35), w2 in vecf(42), w3 in vecf(18), b in vecf(16),
         x in vecf(5),
@@ -190,6 +276,30 @@ proptest! {
                 &dense.forward(&input),
                 &format!("{kind} packed cnn"),
             );
+        }
+    }
+
+    #[test]
+    fn packed_forward_matches_fake_quant_for_all_formats_transformer(
+        w in vecf(TF_WEIGHTS), b in vecf(TF_BIASES),
+        xs in prop::collection::vec(vecf(T * D), 1..4),
+    ) {
+        let m = transformer(w, b);
+        let inputs: Vec<Tensor> = xs.into_iter().map(|d| Tensor::from_vec(&[T, D], d)).collect();
+        let act = lp8_activations(&m, &inputs[0]);
+        for kind in FormatKind::ALL {
+            let mut scheme = fitted_scheme(&m, kind, 6);
+            scheme.activations = act.activations.clone();
+            let dense = m.quantize_weights(&scheme);
+            let packed = m.quantize_weights_packed(&scheme);
+            let got = packed.forward_batch_quant(&inputs, Some(&scheme));
+            for (input, g) in inputs.iter().zip(&got) {
+                assert_bitwise_eq(
+                    g,
+                    &dense.forward_traced(input, Some(&scheme), false).output,
+                    &format!("{kind} packed transformer"),
+                );
+            }
         }
     }
 

@@ -55,12 +55,27 @@ pub trait Quantizer: fmt::Debug {
         codec::cached_table(self)
     }
 
-    /// Quantizes a slice of `f32` in place via the cached decode table.
+    /// This format's batch kernel with its setup resolved: the decode-table
+    /// lookup (a formatted [`Quantizer::codec_key`] plus the global cache
+    /// lock) happens here, once, so a caller quantizing many slices of one
+    /// format — a batch's activations at one layer — pays it once instead
+    /// of once per slice.
+    ///
+    /// This is the one customization point of the batch path: formats
+    /// with a faster kernel than the table (INT, fixed point) override
+    /// this, never [`Quantizer::quantize_slice`].
+    fn slice_quantizer(&self) -> SliceQuantizer {
+        SliceQuantizer::Table(self.decode_table())
+    }
+
+    /// Quantizes a slice of `f32` in place via the format's
+    /// [`SliceQuantizer`] (the cached decode table unless the format
+    /// overrides [`Quantizer::slice_quantizer`]).
     ///
     /// Bit-identical to mapping [`Quantizer::quantize`] over the slice,
     /// ~an order of magnitude faster for transcendental-heavy formats.
     fn quantize_slice(&self, xs: &mut [f32]) {
-        self.decode_table().quantize_slice(xs);
+        self.slice_quantizer().quantize_slice(xs);
     }
 
     /// The pre-codec scalar path (one `quantize` call per element), kept
@@ -68,6 +83,37 @@ pub trait Quantizer: fmt::Debug {
     fn quantize_slice_scalar(&self, xs: &mut [f32]) {
         for x in xs.iter_mut() {
             *x = self.quantize(f64::from(*x)) as f32;
+        }
+    }
+}
+
+/// A format's batch-quantization kernel, resolved once by
+/// [`Quantizer::slice_quantizer`] and then applied to any number of
+/// slices.
+#[derive(Debug)]
+pub enum SliceQuantizer {
+    /// The shared decode-table path (bisected boundaries, vectorized
+    /// lookup).
+    Table(Arc<DecodeTable>),
+    /// The table-free uniform-grid kernel of INT and fixed point:
+    /// round `x / step` to an integer clamped to `±levels`.
+    UniformGrid {
+        /// Grid spacing.
+        step: f64,
+        /// Largest grid index magnitude.
+        levels: f64,
+    },
+}
+
+impl SliceQuantizer {
+    /// Quantizes `xs` in place; bit-identical to the format's
+    /// [`Quantizer::quantize_slice`].
+    pub fn quantize_slice(&self, xs: &mut [f32]) {
+        match self {
+            SliceQuantizer::Table(table) => table.quantize_slice(xs),
+            SliceQuantizer::UniformGrid { step, levels } => {
+                crate::simd::uniform_grid_quantize_slice(xs, *step, *levels)
+            }
         }
     }
 }
@@ -138,9 +184,11 @@ impl Quantizer for IntQuantizer {
     /// tiers keep the arithmetic term-for-term identical to
     /// [`IntQuantizer::quantize`], so this stays bit-identical to the
     /// scalar map and the table path.
-    fn quantize_slice(&self, xs: &mut [f32]) {
-        let levels = ((1u32 << (self.n() - 1)) - 1) as f64;
-        crate::simd::uniform_grid_quantize_slice(xs, self.scale(), levels);
+    fn slice_quantizer(&self) -> SliceQuantizer {
+        SliceQuantizer::UniformGrid {
+            step: self.scale(),
+            levels: ((1u32 << (self.n() - 1)) - 1) as f64,
+        }
     }
 }
 
@@ -163,10 +211,11 @@ impl Quantizer for FixedPoint {
     /// vectorized [`crate::simd::uniform_grid_quantize_slice`] kernel.
     /// Bit-identical to [`FixedPoint::quantize`] by using the same
     /// arithmetic.
-    fn quantize_slice(&self, xs: &mut [f32]) {
-        let step = (-f64::from(self.frac_bits())).exp2();
-        let levels = ((1u32 << (self.n() - 1)) - 1) as f64;
-        crate::simd::uniform_grid_quantize_slice(xs, step, levels);
+    fn slice_quantizer(&self) -> SliceQuantizer {
+        SliceQuantizer::UniformGrid {
+            step: (-f64::from(self.frac_bits())).exp2(),
+            levels: ((1u32 << (self.n() - 1)) - 1) as f64,
+        }
     }
 }
 
@@ -493,7 +542,7 @@ mod tests {
 
     #[test]
     fn uniform_grid_fast_path_is_bit_identical() {
-        // INT/Fixed override `quantize_slice` with a table-free scalar
+        // INT/Fixed resolve `slice_quantizer` to a table-free uniform-grid
         // kernel; it must agree bit-for-bit with both the scalar reference
         // map and the decode-table path on every input class.
         let mut probes: Vec<f32> = vec![
@@ -540,6 +589,37 @@ mod tests {
                     "{}: fast!=table at {x:?}",
                     q.codec_key()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn slice_quantizer_is_reusable_and_matches_scalar_map() {
+        // One resolved kernel applied to several slices must equal the
+        // scalar map on each — and INT/Fixed must keep their table-free
+        // kernel rather than fall back to a table.
+        let data = sample_data();
+        let slices: [Vec<f32>; 3] = [
+            vec![0.5, -0.3, 0.125, 0.0, -0.0, f32::NAN, f32::INFINITY],
+            data.clone(),
+            vec![1e-40, -7.5, 3.25],
+        ];
+        for kind in FormatKind::ALL {
+            let q = fit_quantizer(kind, 8, &data).unwrap();
+            let sq = q.slice_quantizer();
+            assert_eq!(
+                matches!(sq, SliceQuantizer::UniformGrid { .. }),
+                matches!(kind, FormatKind::Int | FormatKind::Fixed),
+                "{kind}"
+            );
+            for xs in &slices {
+                let mut fast = xs.clone();
+                sq.quantize_slice(&mut fast);
+                let mut scalar = xs.clone();
+                q.quantize_slice_scalar(&mut scalar);
+                for (&a, &b) in fast.iter().zip(&scalar) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{kind}");
+                }
             }
         }
     }

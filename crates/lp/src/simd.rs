@@ -1,6 +1,6 @@
 //! Runtime SIMD dispatch for the workspace's two hot kernels, plus the
 //! vectorized uniform-grid quantizer shared by the INT and fixed-point
-//! `quantize_slice` overrides.
+//! `SliceQuantizer::UniformGrid` kernels.
 //!
 //! ## Dispatch tiers
 //!
@@ -80,14 +80,14 @@ pub fn kernel_tier() -> &'static str {
 /// `{-levels..levels} × step`, bit-identical to the scalar reference
 /// `((v / step).round_ties_even().clamp(-levels, levels) * step) as f32`
 /// for finite inputs and `NaN` otherwise — the shared kernel behind the
-/// INT and fixed-point [`Quantizer::quantize_slice`] overrides.
+/// INT and fixed-point [`SliceQuantizer::UniformGrid`] kernels.
 ///
 /// The AVX2 tier runs four `f64` lanes per iteration (`vdivpd` /
 /// `vroundpd` nearest-even / `vminpd`+`vmaxpd` / `vmulpd`), which is
 /// bit-identical lane-for-lane to the scalar expression because every
 /// IEEE-754 operation in the chain is correctly rounded in both forms.
 ///
-/// [`Quantizer::quantize_slice`]: crate::Quantizer::quantize_slice
+/// [`SliceQuantizer::UniformGrid`]: crate::quantizer::SliceQuantizer::UniformGrid
 #[allow(unsafe_code)] // dispatch into the runtime-feature-checked AVX2 tier
 pub fn uniform_grid_quantize_slice(xs: &mut [f32], step: f64, levels: f64) {
     #[cfg(target_arch = "x86_64")]
