@@ -16,6 +16,7 @@ use lp::Quantizer;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a weighted layer's parameters are resident in memory.
@@ -131,6 +132,8 @@ impl WeightStorage {
 /// the blocked kernel directly, packed weights decode codes panel-wise
 /// inside it. Both paths are bit-identical for equal weight values.
 fn matmul_t_storage(x: &Tensor, w: &WeightStorage) -> Tensor {
+    // Weights of any rank are read in place as `[shape[0], rest]`, so a
+    // conv filter bank needs no reshaped copy.
     match w {
         WeightStorage::Dense(t) => x.matmul_t(t),
         WeightStorage::Packed(q) => x.matmul_t_packed(q),
@@ -1134,19 +1137,248 @@ fn stacked_matmul_t<S: AsRef<[f32]> + Into<Vec<f32>>>(
     out
 }
 
-/// Extracts the im2col patch matrix `[oh*ow, c_in*kh*kw]` of one image.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    x: &Tensor,
-    c_in: usize,
+/// One sliding-window sweep over a `[c, h, w]` image: a `kh × kw` kernel
+/// at `stride`, with `pad` implicit zeros on every border, visiting
+/// `oh × ow` output positions. Convolution, patch embedding and depthwise
+/// convolution all run on it.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    c: usize,
+    h: usize,
+    w: usize,
     kh: usize,
     kw: usize,
     stride: usize,
     pad: usize,
     oh: usize,
     ow: usize,
-) -> Vec<f32> {
-    let (h, wd) = (x.shape()[1], x.shape()[2]);
+}
+
+impl Window {
+    fn new(image: &[usize], kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
+        assert_eq!(image.len(), 3, "sliding windows need a [c, h, w] image");
+        let (c, h, w) = (image[0], image[1], image[2]);
+        Window {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            oh: out_dim(h, kh, stride, pad),
+            ow: out_dim(w, kw, stride, pad),
+        }
+    }
+
+    /// Output positions per image (`oh·ow`).
+    fn positions(&self) -> usize {
+        self.oh * self.ow
+    }
+
+    /// Length of one im2col row (`c·kh·kw`).
+    fn patch_len(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    /// The in-bounds taps of output coordinate `o` along an axis of `n`
+    /// inputs under a `k`-tap kernel, with the input coordinate its first
+    /// tap reads. Empty when the window lies wholly in the padding.
+    fn taps(&self, o: usize, k: usize, n: usize) -> (Range<usize>, usize) {
+        let start = o * self.stride;
+        let lo = self.pad.saturating_sub(start);
+        let hi = k.min((n + self.pad).saturating_sub(start));
+        (lo..hi.max(lo), (start + lo).saturating_sub(self.pad))
+    }
+
+    /// The output coordinates that tap `k` reaches in bounds along an axis
+    /// of `n` inputs and `m` outputs, with the input coordinate it reads at
+    /// the first of them (successive ones step by `stride`).
+    fn reach(&self, k: usize, n: usize, m: usize) -> (Range<usize>, usize) {
+        let s = self.stride;
+        let lo = self.pad.saturating_sub(k).div_ceil(s);
+        let hi = m.min((n + self.pad).saturating_sub(k).div_ceil(s));
+        (lo..hi.max(lo), (lo * s + k).saturating_sub(self.pad))
+    }
+
+    /// Writes one image's im2col rows `[oh·ow, c·kh·kw]` (each row laid out
+    /// `[c][ky][kx]`) into `dst`, which must arrive zeroed: padded taps are
+    /// left as those `+0.0`s, exactly the zeros a padded image supplies.
+    fn im2col_into(&self, x: &[f32], dst: &mut [f32]) {
+        match (self.kh, self.kw, self.pad) {
+            (1, 1, 0) => self.transpose_into(x, dst),
+            _ => self.gather_into(x, dst),
+        }
+    }
+
+    /// The im2col fill of a 1×1 unpadded window: a strided
+    /// `[c, h·w] → [pos, c]` transpose.
+    fn transpose_into(&self, x: &[f32], dst: &mut [f32]) {
+        let Window {
+            c,
+            h,
+            w,
+            stride,
+            ow,
+            ..
+        } = *self;
+        for (ch, xc) in x.chunks_exact(h * w).enumerate() {
+            for (oy, drow) in dst.chunks_exact_mut(ow * c).enumerate() {
+                let src = xc[oy * stride * w..].iter().step_by(stride);
+                for (d, &v) in drow[ch..].iter_mut().step_by(c).zip(src) {
+                    *d = v;
+                }
+            }
+        }
+    }
+
+    /// The general im2col fill. Each output row's and column's in-bounds
+    /// tap ranges are resolved once, and each contiguous `kx` run of each
+    /// `(c, ky)` is one slice copy.
+    fn gather_into(&self, x: &[f32], dst: &mut [f32]) {
+        let Window {
+            h, w, kh, kw, ow, ..
+        } = *self;
+        let (hw, kk, plen) = (h * w, kh * kw, self.patch_len());
+        for oy in 0..self.oh {
+            let (ky_taps, iy) = self.taps(oy, kh, h);
+            for ox in 0..ow {
+                let (kx_taps, ix) = self.taps(ox, kw, w);
+                if kx_taps.is_empty() {
+                    continue;
+                }
+                let row = &mut dst[(oy * ow + ox) * plen..][..plen];
+                let corner = iy * w + ix;
+                for (block, xc) in row.chunks_exact_mut(kk).zip(x.chunks_exact(hw)) {
+                    for (dy, ky) in ky_taps.clone().enumerate() {
+                        let src = &xc[corner + dy * w..][..kx_taps.len()];
+                        block[ky * kw + kx_taps.start..][..src.len()].copy_from_slice(src);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The im2col rows of a whole batch, filled straight into the stacked GEMM
+/// operand `[B·oh·ow, c·kh·kw]`: one zeroed buffer per layer, each image's
+/// rows written in place.
+fn im2col_stacked(xs: &[&Tensor], win: &Window) -> Tensor {
+    let block = win.positions() * win.patch_len();
+    let mut cols = vec![0.0f32; xs.len() * block];
+    for (e, x) in xs.iter().enumerate() {
+        assert_eq!(
+            x.shape(),
+            &[win.c, win.h, win.w],
+            "batch elements must share one image shape"
+        );
+        win.im2col_into(x.data(), &mut cols[e * block..(e + 1) * block]);
+    }
+    Tensor::from_vec(&[xs.len() * win.positions(), win.patch_len()], cols)
+}
+
+/// im2col-based 2-D convolution over a batch: every image's patch rows
+/// fill one stacked operand for a single GEMM against the (possibly
+/// packed) filter bank, read in place as `[c_out, c_in·kh·kw]`. Each
+/// image's `[c_out, oh, ow]` output (product + bias) is written once,
+/// straight from its block of the stacked product.
+fn conv2d_batch(
+    xs: &[&Tensor],
+    w: &WeightStorage,
+    bias: &[f32],
+    stride: usize,
+    pad: usize,
+) -> Vec<Tensor> {
+    let Some(first) = xs.first() else {
+        return Vec::new();
+    };
+    let (c_out, c_in, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+    assert_eq!(bias.len(), c_out, "conv2d bias length mismatch");
+    let win = Window::new(first.shape(), kh, kw, stride, pad);
+    assert_eq!(win.c, c_in, "conv2d channel mismatch");
+    let prod = matmul_t_storage(&im2col_stacked(xs, &win), w);
+    let rows = win.positions();
+    (0..xs.len())
+        .map(|e| {
+            let pd = &prod.data()[e * rows * c_out..(e + 1) * rows * c_out];
+            let mut out = vec![0.0f32; c_out * rows];
+            for ((co, plane), &b) in out.chunks_exact_mut(rows).enumerate().zip(bias) {
+                for (o, &v) in plane.iter_mut().zip(pd[co..].iter().step_by(c_out)) {
+                    *o = v + b;
+                }
+            }
+            Tensor::from_vec(&[c_out, win.oh, win.ow], out)
+        })
+        .collect()
+}
+
+/// Depthwise convolution: weight `[c, k, k]`, computed row by row. Each
+/// output row starts as its channel's bias; then every in-bounds `(ky,
+/// kx)` tap, in ascending order, adds `x·w` across the output columns it
+/// reaches — a unit-stride loop at stride 1, which auto-vectorizes. So
+/// every element sums exactly what a per-element loop sums, in the same
+/// order: the bias, then its in-bounds taps in `(ky, kx)` order.
+/// Out-of-bounds taps are skipped, never added as `0·w`: that would turn
+/// a `-0.0` sum into `+0.0`, and an infinite or NaN weight into NaN.
+fn dwconv2d(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
+    let (cw, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2]);
+    let win = Window::new(x.shape(), kh, kw, stride, pad);
+    let Window {
+        c,
+        h,
+        w: wd,
+        oh,
+        ow,
+        ..
+    } = win;
+    assert_eq!(c, cw, "dwconv2d channel mismatch");
+    assert_eq!(bias.len(), c, "dwconv2d bias length mismatch");
+    // Each kernel column's reach, resolved once; columns that reach no
+    // output (possible when `pad >= k`) are dropped.
+    let reach: Vec<(usize, Range<usize>, usize)> = (0..kw)
+        .map(|kx| {
+            let (cols, ix) = win.reach(kx, wd, ow);
+            (kx, cols, ix)
+        })
+        .filter(|(_, cols, _)| !cols.is_empty())
+        .collect();
+    let mut out = vec![0.0f32; c * oh * ow];
+    let xd = x.data();
+    let wdta = w.data();
+    for (ch, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let xc = &xd[ch * h * wd..(ch + 1) * h * wd];
+        let wc = &wdta[ch * kh * kw..(ch + 1) * kh * kw];
+        for (oy, row) in plane.chunks_exact_mut(ow).enumerate() {
+            row.fill(bias[ch]);
+            let (ky_taps, iy) = win.taps(oy, kh, h);
+            for (dy, ky) in ky_taps.enumerate() {
+                let xrow = &xc[(iy + dy) * wd..(iy + dy + 1) * wd];
+                for (kx, cols, ix) in &reach {
+                    let wv = wc[ky * kw + kx];
+                    let acc = &mut row[cols.clone()];
+                    if stride == 1 {
+                        for (o, &v) in acc.iter_mut().zip(&xrow[*ix..]) {
+                            *o += v * wv;
+                        }
+                    } else {
+                        for (o, &v) in acc.iter_mut().zip(xrow[*ix..].iter().step_by(stride)) {
+                            *o += v * wv;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_vec(&[c, oh, ow], out)
+}
+
+/// The per-element im2col that [`Window::im2col_into`] replaced: the
+/// bit-identity oracle for the stacked fill. Returns one image's patch
+/// matrix `[oh·ow, c·kh·kw]`.
+#[cfg(test)]
+fn im2col_oracle(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Vec<f32> {
+    let (c_in, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    let (oh, ow) = (out_dim(h, kh, stride, pad), out_dim(wd, kw, stride, pad));
     let patch_len = c_in * kh * kw;
     let mut patches = vec![0.0f32; oh * ow * patch_len];
     let xd = x.data();
@@ -1174,56 +1406,13 @@ fn im2col(
     patches
 }
 
-/// im2col-based 2-D convolution over a batch: all images' patch matrices
-/// run through one stacked GEMM against the (possibly packed) filters.
-fn conv2d_batch(
-    xs: &[&Tensor],
-    w: &WeightStorage,
-    bias: &[f32],
-    stride: usize,
-    pad: usize,
-) -> Vec<Tensor> {
-    let (c_out, c_in_w, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-    assert_eq!(bias.len(), c_out, "conv2d bias length mismatch");
-    let patch_len = c_in_w * kh * kw;
-    let wm = w.reshaped(&[c_out, patch_len]);
-    let parts: Vec<(usize, Vec<f32>)> = xs
-        .iter()
-        .map(|x| {
-            let (c_in, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-            assert_eq!(c_in, c_in_w, "conv2d channel mismatch");
-            let oh = out_dim(h, kh, stride, pad);
-            let ow = out_dim(wd, kw, stride, pad);
-            (oh * ow, im2col(x, c_in, kh, kw, stride, pad, oh, ow))
-        })
-        .collect();
-    let prods = stacked_matmul_t(parts, patch_len, &wm);
-    xs.iter()
-        .zip(prods)
-        .map(|(x, pd)| {
-            let (h, wd) = (x.shape()[1], x.shape()[2]);
-            let oh = out_dim(h, kh, stride, pad);
-            let ow = out_dim(wd, kw, stride, pad);
-            // Transpose [oh*ow, c_out] to [c_out, oh, ow] and add bias.
-            let mut out = vec![0.0f32; c_out * oh * ow];
-            for pos in 0..oh * ow {
-                for co in 0..c_out {
-                    out[co * oh * ow + pos] = pd[pos * c_out + co] + bias[co];
-                }
-            }
-            Tensor::from_vec(&[c_out, oh, ow], out)
-        })
-        .collect()
-}
-
-/// Depthwise convolution: weight `[c, k, k]`.
-fn dwconv2d(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
+/// The per-element depthwise convolution that the row-wise [`dwconv2d`]
+/// replaced: its bit-identity oracle.
+#[cfg(test)]
+fn dwconv2d_oracle(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
     let (c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let (cw, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2]);
-    assert_eq!(c, cw, "dwconv2d channel mismatch");
-    assert_eq!(bias.len(), c, "dwconv2d bias length mismatch");
-    let oh = out_dim(h, kh, stride, pad);
-    let ow = out_dim(wd, kw, stride, pad);
+    let (kh, kw) = (w.shape()[1], w.shape()[2]);
+    let (oh, ow) = (out_dim(h, kh, stride, pad), out_dim(wd, kw, stride, pad));
     let mut out = vec![0.0f32; c * oh * ow];
     let xd = x.data();
     let wdta = w.data();
@@ -1301,51 +1490,32 @@ fn patch_embed_batch(
     cls: &[f32],
     pos: &Tensor,
 ) -> Vec<Tensor> {
+    let Some(first) = xs.first() else {
+        return Vec::new();
+    };
     let (dim, plen) = (w.shape()[0], w.shape()[1]);
-    let parts: Vec<(usize, Vec<f32>)> = xs
-        .iter()
-        .map(|x| {
-            let (c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-            assert!(
-                h % patch == 0 && wd % patch == 0,
-                "image dims must be divisible by patch size"
-            );
-            assert_eq!(plen, c * patch * patch, "patch embed weight shape mismatch");
-            let (ph, pw) = (h / patch, wd / patch);
-            let tokens = ph * pw;
-            // Extract flattened patches [tokens, c·p·p].
-            let mut pm = vec![0.0f32; tokens * plen];
-            let xd = x.data();
-            for py in 0..ph {
-                for px in 0..pw {
-                    let row = (py * pw + px) * plen;
-                    for ch in 0..c {
-                        for dy in 0..patch {
-                            for dx in 0..patch {
-                                pm[row + ch * patch * patch + dy * patch + dx] =
-                                    xd[ch * h * wd + (py * patch + dy) * wd + (px * patch + dx)];
-                            }
-                        }
-                    }
-                }
-            }
-            (tokens, pm)
-        })
-        .collect();
-    let token_counts: Vec<usize> = parts.iter().map(|(t, _)| *t).collect();
-    let prods = stacked_matmul_t(parts, plen, w);
+    let (h, wd) = (first.shape()[1], first.shape()[2]);
+    assert!(
+        h % patch == 0 && wd % patch == 0,
+        "image dims must be divisible by patch size"
+    );
+    // The flattened patches `[tokens, c·p·p]` are the im2col rows of a
+    // `patch × patch` window at stride `patch`, unpadded.
+    let win = Window::new(first.shape(), patch, patch, patch, 0);
+    assert_eq!(plen, win.patch_len(), "patch embed weight shape mismatch");
+    let tokens = win.positions();
+    let prod = matmul_t_storage(&im2col_stacked(xs, &win), w);
     // Prepend the cls token (when present: an empty `cls` means a
     // hierarchical model without one), add bias and positional embedding.
     let with_cls = !cls.is_empty();
     if with_cls {
         assert_eq!(cls.len(), dim, "cls token length mismatch");
     }
-    token_counts
-        .into_iter()
-        .zip(prods)
-        .map(|(tokens, proj)| {
-            let total = tokens + usize::from(with_cls);
-            assert_eq!(pos.shape(), &[total, dim], "positional embedding shape");
+    let total = tokens + usize::from(with_cls);
+    assert_eq!(pos.shape(), &[total, dim], "positional embedding shape");
+    (0..xs.len())
+        .map(|e| {
+            let proj = &prod.data()[e * tokens * dim..(e + 1) * tokens * dim];
             let mut out = vec![0.0f32; total * dim];
             let skip = if with_cls {
                 out[..dim].copy_from_slice(cls);
@@ -2041,6 +2211,68 @@ mod tests {
             prop_assert_eq!(got.shape(), want.shape());
             for (x, y) in got.data().iter().zip(want.data()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random values in `[-2, 2)`, salted with the
+    /// given specials at hash-chosen positions (about one in eight).
+    fn salted_values(len: usize, seed: u64, salt: u64, specials: &[f32]) -> Vec<f32> {
+        (0..len as u64)
+            .map(|i| {
+                let h = (i * 2_654_435_761 + seed * 40_503 + salt) % 10_007;
+                match (h % 8, (h / 8) as usize % specials.len()) {
+                    (0, s) => specials[s],
+                    _ => (h as f32 / 10_007.0 - 0.5) * 4.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Exact bit equality, except that NaN matches NaN whatever its sign
+    /// and payload (IEEE-754 leaves NaN propagation bits unspecified).
+    fn bits_eq_mod_nan(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    proptest! {
+        #[test]
+        fn conv_kernels_are_bit_identical_to_their_oracles(
+            c in 1usize..4, k_pick in 0usize..4, stride in 1usize..=3, pad in 0usize..=2,
+            extra_h in 0usize..7, extra_w in 0usize..7, seed in 0u64..1_000_000,
+        ) {
+            // Image sides start at the smallest that fits the padded
+            // window (`h + 2·pad == k`), which is a 1×1 image whenever the
+            // padding alone covers the kernel.
+            let k = [1usize, 2, 3, 5][k_pick];
+            let side = k.saturating_sub(2 * pad).max(1);
+            let (h, w) = (side + extra_h, side + extra_w);
+            let zeros = [0.0, -0.0];
+            let image = |salt| {
+                Tensor::from_vec(&[c, h, w], salted_values(c * h * w, seed, salt, &zeros))
+            };
+            let (x0, x1) = (image(1), image(2));
+
+            // Stacked im2col fill ≡ per-image oracle, bit for bit.
+            let win = Window::new(x0.shape(), k, k, stride, pad);
+            let stacked = im2col_stacked(&[&x0, &x1], &win);
+            let mut want = im2col_oracle(&x0, k, k, stride, pad);
+            want.extend(im2col_oracle(&x1, k, k, stride, pad));
+            prop_assert_eq!(stacked.shape(), &[2 * win.positions(), c * k * k][..]);
+            for (i, (g, o)) in stacked.data().iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), o.to_bits(), "im2col elem {}", i);
+            }
+
+            // Row-wise dwconv2d ≡ per-element oracle, with non-finite weights.
+            let weight_specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            let wt = salted_values(c * k * k, seed, 3, &weight_specials);
+            let wt = Tensor::from_vec(&[c, k, k], wt);
+            let bias = salted_values(c, seed, 4, &zeros);
+            let got = dwconv2d(&x0, &wt, &bias, stride, pad);
+            let want = dwconv2d_oracle(&x0, &wt, &bias, stride, pad);
+            prop_assert_eq!(got.shape(), want.shape());
+            for (i, (g, o)) in got.data().iter().zip(want.data()).enumerate() {
+                prop_assert!(bits_eq_mod_nan(*g, *o), "dwconv elem {}: {:?} vs {:?}", i, g, o);
             }
         }
     }

@@ -204,17 +204,22 @@ impl Tensor {
     /// `self[M,K] × rhs[N,K]ᵀ → [M,N]`, on the shared blocked kernel. This
     /// is the natural layout for linear layers stored as `[out, in]`.
     ///
+    /// `rhs` may have any rank ≥ 1: it is read as the row-major
+    /// `[shape[0], rest]` matrix its data already is, so a conv filter bank
+    /// `[out, in, kh, kw]` multiplies as `[out, in·kh·kw]` with no reshape
+    /// copy.
+    ///
     /// Bit-identical to [`Tensor::matmul_t_naive`] (same per-element
     /// accumulation order), several times faster on layer-sized operands.
     ///
     /// # Panics
     ///
-    /// Panics unless both operands are rank-2 with matching `K`.
+    /// Panics unless `self` is rank-2, `rhs` has rank ≥ 1, and the inner
+    /// dimensions match.
     pub fn matmul_t(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.shape.len(), 2, "matmul_t lhs must be rank-2");
-        assert_eq!(rhs.shape.len(), 2, "matmul_t rhs must be rank-2");
         let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (rhs.shape[0], rhs.shape[1]);
+        let (n, k2) = row_view(&rhs.shape);
         assert_eq!(k, k2, "matmul_t inner dimensions differ: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
         let bd = &rhs.data;
@@ -239,17 +244,19 @@ impl Tensor {
     /// (≤ [`GEMM_KC`]·[`GEMM_NC`] floats) is the only decoded state, reused
     /// across all `M` left-hand rows of the batch.
     ///
+    /// Like [`Tensor::matmul_t`], `rhs` may have any rank ≥ 1 and is read
+    /// as `[shape[0], rest]`.
+    ///
     /// Bit-identical to `self.matmul_t(&rhs.dequantize())`.
     ///
     /// # Panics
     ///
-    /// Panics unless `self` is rank-2 and `rhs` is rank-2 with matching
-    /// `K`.
+    /// Panics unless `self` is rank-2, `rhs` has rank ≥ 1, and the inner
+    /// dimensions match.
     pub fn matmul_t_packed(&self, rhs: &QTensor) -> Tensor {
         assert_eq!(self.shape.len(), 2, "matmul_t lhs must be rank-2");
-        assert_eq!(rhs.shape().len(), 2, "matmul_t rhs must be rank-2");
         let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (rhs.shape()[0], rhs.shape()[1]);
+        let (n, k2) = row_view(rhs.shape());
         assert_eq!(k, k2, "matmul_t inner dimensions differ: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
         // The fill widens + gathers codes through the table (AVX2 tier)
@@ -352,6 +359,12 @@ impl Tensor {
         }
         self.data.iter().sum::<f32>() / self.data.len() as f32
     }
+}
+
+/// A row-major tensor shape read as a matrix `[shape[0], rest]`.
+fn row_view(shape: &[usize]) -> (usize, usize) {
+    assert!(!shape.is_empty(), "matmul_t rhs must have rank >= 1");
+    (shape[0], shape[1..].iter().product())
 }
 
 /// K-depth of one GEMM panel tile.
@@ -680,7 +693,7 @@ mod microkernel {
     ) {
         let codes = qt.codes();
         let values = qt.table().values();
-        let k = qt.shape()[1];
+        let k = super::row_view(qt.shape()).1;
         #[cfg(target_arch = "x86_64")]
         if lp::simd::intrinsics_enabled() {
             // SAFETY: AVX2 runtime-checked; every code < values.len() by
@@ -1085,6 +1098,26 @@ mod tests {
         let c_packed = a.matmul_t_packed(&packed);
         let c_dense = a.matmul_t(&dense);
         for (x, y) in c_packed.data().iter().zip(c_dense.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn matmul_t_reads_filter_banks_as_rows() {
+        // A conv filter bank [out, in, kh, kw] multiplies as the
+        // [out, in·kh·kw] matrix it already is, dense and packed.
+        use lp::format::LpParams;
+        let a = pseudo_tensor(&[5, 18], 0.6);
+        let bank = pseudo_tensor(&[4, 2, 3, 3], 0.8);
+        let (c4, c2) = (a.matmul_t(&bank), a.matmul_t(&bank.reshaped(&[4, 18])));
+        for (x, y) in c4.data().iter().zip(c2.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        let packed = QTensor::quantize(&bank, &LpParams::clamped(8, 2, 3, 0.0));
+        let c4 = a.matmul_t_packed(&packed);
+        let c2 = a.matmul_t_packed(&packed.reshaped(&[4, 18]));
+        assert_eq!(c4.shape(), &[5, 4]);
+        for (x, y) in c4.data().iter().zip(c2.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

@@ -4,9 +4,11 @@
 //!   to `B` single [`Model::forward`] calls (the blocked kernel computes
 //!   each output row from its own left-hand row, in a `k`-ascending
 //!   accumulation order independent of how many rows are stacked) — for
-//!   MLP, CNN and transformer-block graphs, the last also with LP8
-//!   activation quantization, which pins the kernel-routed attention and
-//!   the memoized GELU across batch sizes;
+//!   MLP, CNN and transformer-block graphs, the last two also with LP8
+//!   activation quantization, which pins the kernel-routed attention, the
+//!   memoized GELU, the stacked im2col fill (3×3 at strides 1 and 2, 1×1
+//!   unpadded) and the row-wise depthwise convolution (strides 1 and 2)
+//!   across batch sizes;
 //! * packed-weight forwards ([`Model::quantize_weights_packed`]) are
 //!   bit-identical to fake-quantized `f32` forwards
 //!   ([`Model::quantize_weights`]) for **all 7 format families**;
@@ -69,38 +71,66 @@ fn mlp(w1: Vec<f32>, w2: Vec<f32>, w3: Vec<f32>, b: Vec<f32>) -> Model {
     m
 }
 
-/// A small random CNN: conv → relu → depthwise conv → global-avg-pool →
-/// linear (exercises the im2col stacked GEMM and the decoded-dense path).
-fn cnn(wc: Vec<f32>, wd: Vec<f32>, wl: Vec<f32>, b: Vec<f32>) -> Model {
-    let mut m = Model::new("p_cnn", &[2, 6, 6], 3);
+/// Input shape of [`cnn`]: odd spatial sides, so strided windows end on a
+/// partial border.
+const CNN_IN: [usize; 3] = [2, 7, 7];
+const CNN_LEN: usize = 2 * 7 * 7;
+/// Weight and bias counts of [`cnn`]'s seven weighted layers.
+const CNN_WEIGHTS: usize = 72 + 36 + 144 + 16 + 24 + 54 + 18;
+const CNN_BIASES: usize = 4 + 4 + 4 + 4 + 6 + 6 + 3;
+
+/// A small random CNN covering every im2col and depthwise fast path:
+/// conv 3×3 → relu → depthwise 3×3 → {conv 3×3 stride 2, conv 1×1 stride
+/// 2 skip} → add → conv 1×1 → relu → depthwise 3×3 stride 2 →
+/// global-avg-pool → linear, on a `[2, 7, 7]` input.
+fn cnn(w: Vec<f32>, b: Vec<f32>) -> Model {
+    let mut m = Model::new("p_cnn", &CNN_IN, 3);
     let x = m.input_node();
-    let c = m.push(
-        Op::Conv2d {
-            weight: Tensor::from_vec(&[4, 2, 3, 3], wc).into(),
-            bias: b[..4].to_vec(),
-            stride: 1,
-            pad: 1,
-        },
-        &[x],
-    );
-    let r = m.push(Op::Relu, &[c]);
-    let d = m.push(
-        Op::DwConv2d {
-            weight: Tensor::from_vec(&[4, 3, 3], wd).into(),
-            bias: b[4..8].to_vec(),
-            stride: 1,
-            pad: 1,
-        },
-        &[r],
-    );
-    let g = m.push(Op::GlobalAvgPool, &[d]);
-    let l = m.push(
-        Op::Linear {
-            weight: Tensor::from_vec(&[3, 4], wl).into(),
-            bias: b[8..11].to_vec(),
-        },
-        &[g],
-    );
+    let (mut wo, mut bo) = (0, 0);
+    let mut params = |shape: &[usize]| {
+        let (len, out) = (shape.iter().product::<usize>(), shape[0]);
+        let weight = Tensor::from_vec(shape, w[wo..wo + len].to_vec());
+        let bias = b[bo..bo + out].to_vec();
+        (wo, bo) = (wo + len, bo + out);
+        (weight, bias)
+    };
+    // The weight's rank picks the op: `[c, k, k]` depthwise, `[out, in,
+    // k, k]` convolution, `[out, in]` linear.
+    let mut layer = |m: &mut Model, input: usize, shape: &[usize], stride: usize, pad: usize| {
+        let (weight, bias) = params(shape);
+        let op = if shape.len() == 3 {
+            Op::DwConv2d {
+                weight: weight.into(),
+                bias,
+                stride,
+                pad,
+            }
+        } else if shape.len() == 4 {
+            Op::Conv2d {
+                weight: weight.into(),
+                bias,
+                stride,
+                pad,
+            }
+        } else {
+            Op::Linear {
+                weight: weight.into(),
+                bias,
+            }
+        };
+        m.push(op, &[input])
+    };
+    let c1 = layer(&mut m, x, &[4, 2, 3, 3], 1, 1);
+    let r1 = m.push(Op::Relu, &[c1]);
+    let d1 = layer(&mut m, r1, &[4, 3, 3], 1, 1);
+    let c2 = layer(&mut m, d1, &[4, 4, 3, 3], 2, 1);
+    let skip = layer(&mut m, d1, &[4, 4, 1, 1], 2, 0);
+    let sum = m.push(Op::Add, &[c2, skip]);
+    let c3 = layer(&mut m, sum, &[6, 4, 1, 1], 1, 0);
+    let r3 = m.push(Op::Relu, &[c3]);
+    let d2 = layer(&mut m, r3, &[6, 3, 3], 2, 1);
+    let g = m.push(Op::GlobalAvgPool, &[d2]);
+    let l = layer(&mut m, g, &[3, 6], 1, 0);
     m.set_output(l);
     m
 }
@@ -199,17 +229,26 @@ proptest! {
 
     #[test]
     fn batched_forward_is_bit_identical_to_singles_cnn(
-        wc in vecf(72), wd in vecf(36), wl in vecf(12), b in vecf(11),
-        xs in prop::collection::vec(vecf(72), 1..4),
+        w in vecf(CNN_WEIGHTS), b in vecf(CNN_BIASES),
+        xs in prop::collection::vec(vecf(CNN_LEN), 1..4),
     ) {
-        let m = cnn(wc, wd, wl, b);
+        let m = cnn(w, b);
         let inputs: Vec<Tensor> = xs
             .into_iter()
-            .map(|d| Tensor::from_vec(&[2, 6, 6], d))
+            .map(|d| Tensor::from_vec(&CNN_IN, d))
             .collect();
         let batched = m.forward_batch(&inputs);
         for (input, got) in inputs.iter().zip(&batched) {
             assert_bitwise_eq(got, &m.forward(input), "cnn batch-vs-single");
+        }
+        let scheme = lp8_activations(&m, &inputs[0]);
+        let batched = m.forward_batch_quant(&inputs, Some(&scheme));
+        for (input, got) in inputs.iter().zip(&batched) {
+            assert_bitwise_eq(
+                got,
+                &m.forward_traced(input, Some(&scheme), false).output,
+                "cnn lp8-activations batch-vs-single",
+            );
         }
     }
 
@@ -262,20 +301,24 @@ proptest! {
 
     #[test]
     fn packed_forward_matches_fake_quant_for_all_formats_cnn(
-        wc in vecf(72), wd in vecf(36), wl in vecf(12), b in vecf(11),
-        x in vecf(72),
+        w in vecf(CNN_WEIGHTS), b in vecf(CNN_BIASES),
+        xs in prop::collection::vec(vecf(CNN_LEN), 1..3),
     ) {
-        let m = cnn(wc, wd, wl, b);
-        let input = Tensor::from_vec(&[2, 6, 6], x);
+        let m = cnn(w, b);
+        let inputs: Vec<Tensor> = xs
+            .into_iter()
+            .map(|d| Tensor::from_vec(&CNN_IN, d))
+            .collect();
         for kind in FormatKind::ALL {
             let scheme = fitted_scheme(&m, kind, 6);
             let dense = m.quantize_weights(&scheme);
             let packed = m.quantize_weights_packed(&scheme);
-            assert_bitwise_eq(
-                &packed.forward(&input),
-                &dense.forward(&input),
-                &format!("{kind} packed cnn"),
-            );
+            let batched = packed.forward_batch(&inputs);
+            for (input, got) in inputs.iter().zip(&batched) {
+                let want = dense.forward(input);
+                assert_bitwise_eq(&packed.forward(input), &want, &format!("{kind} packed cnn"));
+                assert_bitwise_eq(got, &want, &format!("{kind} packed cnn batched"));
+            }
         }
     }
 
