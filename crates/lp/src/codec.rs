@@ -5,9 +5,9 @@
 //! rules and all — collapses into a precomputed [`DecodeTable`]: the sorted
 //! set of representable values plus, for each adjacent pair, the exact
 //! `f32` input at which the scalar quantizer switches from the lower value
-//! to the upper one. Batch quantization is then a branch-light binary
-//! search per element (accelerated by a 16-bit prefix index over the
-//! monotone integer image of the input float), with **no** per-element
+//! to the upper one. Quantization is then a lookup in a block index
+//! over the monotone integer image of the input float: one load and one
+//! compare per element in the common case, with **no** per-element
 //! `log2`/`exp2`.
 //!
 //! ## Bit-exactness
@@ -25,36 +25,32 @@
 //!
 //! Building a table costs `O(2ⁿ log 2³²)` scalar quantizations — microseconds
 //! for 8-bit formats, a fraction of a second at n = 16 — and is amortized by
-//! the global [`cached_table`] keyed on [`Quantizer::codec_key`]. One 8-bit
-//! table is ~20 KB.
+//! the global [`cached_table`] keyed on [`Quantizer::codec_key`]. The block
+//! index dominates an 8-bit table's memory: 4 bytes per (sign, 2¹⁶-key
+//! block) over the magnitudes that hold interior boundaries, 23.8 KB for
+//! LP8 (es = 2, rs = 3) and at most 261 KB for any format (every finite
+//! block of both signs). The values and boundaries add 8 bytes per
+//! representable value.
 
 use crate::quantizer::Quantizer;
+use crate::simd;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Bits of the input-key prefix used for the first-level index. 16 bits
-/// (sign + exponent + 7 mantissa bits) makes the prefix entry pair resolve
-/// most inputs *without any search*: an 8-bit format has ≤ 254 decision
-/// boundaries spread over 65 536 key blocks, so the block containing a
-/// given input almost never holds a boundary and the lookup collapses to
-/// two adjacent `u16` loads plus the value load.
-const PREFIX_BITS: u32 = 16;
-const PREFIX_SHIFT: u32 = 32 - PREFIX_BITS;
-const PREFIX_LEN: usize = (1 << PREFIX_BITS) + 1;
+/// Index-entry base that marks a key block holding two or more decision
+/// boundaries (or none, ahead of the first one). No real base reaches it:
+/// a base is at most the boundary count minus one, ≤ 2¹⁶ − 2. The entry's
+/// high half then indexes [`BlockIndex::spans`] instead of holding a split.
+const MULTI: u32 = 0xFFFF;
 
-/// Entries kept in the global table cache before it is flushed (a genetic
+/// Entries kept in the global table cache before it is flushed. A genetic
 /// search with continuous scale factors can mint unbounded distinct
-/// formats; the flush bounds memory at ~20 MB of tables).
+/// formats; the flush bounds memory. An 8-bit table is at most ~263 KB
+/// (its block index can span every finite exponent of both signs, as LP8
+/// with es = 5 nearly does at 257 KB) and a fitted LP8 table ~26 KB, so
+/// 128 8-bit tables stay under ~34 MB and typically take ~3 MB. A 16-bit
+/// table adds ~0.5 MB of values and boundaries.
 const MAX_CACHED_TABLES: usize = 128;
-
-/// Lanes per block of the vectorized slice/batch quantizers: eight `f32`
-/// lanes (one AVX2 vector width). The block kernels are straight-line
-/// per-lane array code — branch-free in the common case — so the
-/// autovectorizer and the out-of-order pipeline can overlap the
-/// independent lanes; only lanes whose prefix block contains a decision
-/// boundary or whose input is a special (±0.0, non-finite, zero-interval)
-/// fall back to the scalar [`DecodeTable::quantize_one`].
-const QUANT_LANES: usize = 8;
 
 /// Maps an `f32` to a `u32` whose unsigned order equals the float total
 /// order (sign-magnitude to biased): the standard radix-sort key.
@@ -75,6 +71,128 @@ fn from_key(k: u32) -> f32 {
         !k
     };
     f32::from_bits(b)
+}
+
+/// Whether `x` is ±0.0 or non-finite, the inputs the block index does not
+/// cover: its magnitude bits lie outside `1..=f32::MAX.to_bits()`. One
+/// integer compare, so the common finite non-zero case takes one
+/// predictable branch.
+#[inline]
+fn is_special(x: f32) -> bool {
+    (x.to_bits() & 0x7FFF_FFFF).wrapping_sub(1) >= f32::MAX.to_bits()
+}
+
+/// The one lookup structure of a [`DecodeTable`]: one 4-byte entry per
+/// (input sign, magnitude block), where a magnitude block is
+/// `(|x| bits) >> 16` — 2⁻⁷ of an octave, i.e. one 2¹⁶-key block of the
+/// input's sort key.
+///
+/// An entry is `base | split << 16`, and the value index of a key `k` in
+/// its block is `base + (k & 0xFFFF >= split)`: one load and one compare.
+/// A block with one boundary stores its first value index and the
+/// boundary's offset in the block; a block with none stores its index
+/// minus one and split 0. A block with several boundaries (or none, ahead
+/// of the first) has base [`MULTI`] and indexes [`BlockIndex::spans`].
+///
+/// **Clamp exactness.** The magnitude bits of an input are clamped to
+/// `[mag_lo, mag_hi]` before the lookup, so only the blocks between the
+/// extreme *interior* boundaries — those that split a sign's finite
+/// non-zero keys — are indexed. Every other boundary lies at or beyond
+/// the extreme finite non-zero key of its sign: the zero-interval edges,
+/// or the unreachable `k_max + 1` sentinel. The clamp range covers each
+/// sign's interior boundaries (from one key below the lowest) and stays
+/// inside the finite non-zero magnitudes, so no boundary lies between a
+/// finite non-zero input's key and its clamped key, and the clamped key
+/// indexes exactly as the input would. Clamping also keeps every lookup in
+/// bounds, which the gathers of the AVX2 tier rely on.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockIndex {
+    /// `per_sign` entries for positive inputs, then as many for negative
+    /// inputs, each in ascending magnitude.
+    pub(crate) entries: Vec<u32>,
+    /// `(first, end)`: the boundaries `bounds[first..end]` of each
+    /// [`MULTI`] block.
+    spans: Vec<(u16, u16)>,
+    /// The clamp range of an input's magnitude bits.
+    pub(crate) mag_lo: u32,
+    pub(crate) mag_hi: u32,
+    /// Entries per sign: `(mag_hi >> 16) - (mag_lo >> 16) + 1`.
+    pub(crate) per_sign: u32,
+}
+
+impl BlockIndex {
+    /// Indexes ascending `bounds` in one ascending-key sweep per sign.
+    fn build(bounds: &[u32]) -> Self {
+        let mag = |k: u32| from_key(k).to_bits() & 0x7FFF_FFFF;
+        // Each sign's finite non-zero keys, positive first.
+        let finite = [
+            (sort_key(f32::from_bits(1)), sort_key(f32::MAX)),
+            (sort_key(f32::MIN), sort_key(-f32::from_bits(1))),
+        ];
+        let (mut mag_lo, mut mag_hi) = (u32::MAX, 0);
+        for (lo, hi) in finite {
+            // The interior boundaries: those in (lo, hi].
+            let a = bounds.partition_point(|&b| b <= lo);
+            let z = bounds.partition_point(|&b| b <= hi);
+            if a < z {
+                let (m1, m2) = (mag(bounds[a] - 1), mag(bounds[z - 1]));
+                mag_lo = mag_lo.min(m1.min(m2));
+                mag_hi = mag_hi.max(m1.max(m2));
+            }
+        }
+        if mag_lo > mag_hi {
+            // No interior boundary: each sign maps to one index.
+            (mag_lo, mag_hi) = (1, 1);
+        }
+        let (block_lo, block_hi) = (mag_lo >> 16, mag_hi >> 16);
+        let per_sign = block_hi - block_lo + 1;
+        let mut index = BlockIndex {
+            entries: vec![0; 2 * per_sign as usize],
+            spans: Vec::new(),
+            mag_lo,
+            mag_hi,
+            per_sign,
+        };
+        for sign in 0..2 {
+            // Sweep the sign's key blocks in ascending key order: positive
+            // keys grow with the magnitude, negative keys shrink.
+            let block_of = |i: u32| {
+                if sign == 0 {
+                    (block_lo + i, 0x8000 + block_lo + i)
+                } else {
+                    (block_hi - i, 0x7FFF - (block_hi - i))
+                }
+            };
+            let mut cursor = bounds.partition_point(|&b| b >> 16 < block_of(0).1);
+            for i in 0..per_sign {
+                let (mag_block, key_block) = block_of(i);
+                let first = cursor;
+                while cursor < bounds.len() && bounds[cursor] >> 16 == key_block {
+                    cursor += 1;
+                }
+                let entry = match cursor - first {
+                    0 if first > 0 => first as u32 - 1,
+                    1 => first as u32 | (bounds[first] & 0xFFFF) << 16,
+                    _ => {
+                        index.spans.push((first as u16, cursor as u16));
+                        MULTI | (index.spans.len() as u32 - 1) << 16
+                    }
+                };
+                index.entries[(sign * per_sign + mag_block - block_lo) as usize] = entry;
+            }
+        }
+        index
+    }
+
+    /// The entry of a (finite, non-zero) input and its clamped sort key.
+    #[inline]
+    fn locate(&self, x: f32) -> (u32, u32) {
+        let b = x.to_bits();
+        let neg = ((b as i32) >> 31) as u32;
+        let m = (b & 0x7FFF_FFFF).max(self.mag_lo).min(self.mag_hi);
+        let e = self.entries[((m >> 16) - (self.mag_lo >> 16) + (neg & self.per_sign)) as usize];
+        (e, m ^ neg ^ 0x8000_0000)
+    }
 }
 
 /// A precomputed quantization table for one `(format, params)` pair: the
@@ -113,18 +231,16 @@ pub struct DecodeTable {
     /// pair. The sentinel `sort_key(f32::MAX) + 1` marks values unreachable
     /// from any finite input.
     bounds: Vec<u32>,
-    /// First-level index: `prefix[p]` = number of bounds whose key is
-    /// `< p << PREFIX_SHIFT` (`u16` suffices: a 16-bit format has at most
-    /// 2¹⁶ − 2 boundaries).
-    prefix: Vec<u16>,
+    /// The lookup structure over `bounds`.
+    pub(crate) index: BlockIndex,
     /// Index of the value `+0.0` inputs map to.
     zero_index: u16,
     /// What the scalar path returns for non-zero inputs inside the zero
-    /// interval, per input sign: formats with a linear grid flush tiny
-    /// negative inputs to `-0.0` (the rounding is sign-preserving), which
-    /// the collapsed `0.0` table entry cannot express on its own.
-    zero_from_neg: f32,
-    zero_from_pos: f32,
+    /// interval, per input sign bit (`[+, −]`): formats with a linear grid
+    /// flush tiny negative inputs to `-0.0` (the rounding is
+    /// sign-preserving), which the collapsed `0.0` table entry cannot
+    /// express on its own.
+    pub(crate) zero_from: [f32; 2],
     /// Exact scalar outputs for the special inputs.
     q_pos_zero: f32,
     q_neg_zero: f32,
@@ -219,17 +335,6 @@ impl DecodeTable {
             prev = bound;
         }
 
-        // Single sweep: prefix[p] = #bounds with key < (p << PREFIX_SHIFT).
-        let mut prefix = vec![0u16; PREFIX_LEN];
-        let mut cursor = 0usize;
-        for (p, slot) in prefix.iter_mut().enumerate() {
-            let limit = (p as u64) << PREFIX_SHIFT;
-            while cursor < bounds.len() && u64::from(bounds[cursor]) < limit {
-                cursor += 1;
-            }
-            *slot = cursor as u16;
-        }
-
         let q_pos_zero = scalar(0.0);
         let zero_index = {
             // Index +0.0 inputs resolve to through the boundary structure.
@@ -266,11 +371,10 @@ impl DecodeTable {
             key: q.codec_key(),
             bits: q.bits(),
             values,
+            index: BlockIndex::build(&bounds),
             bounds,
-            prefix,
             zero_index,
-            zero_from_neg,
-            zero_from_pos,
+            zero_from: [zero_from_pos, zero_from_neg],
             q_pos_zero,
             q_neg_zero: scalar(-0.0),
             q_nan: q.quantize(f64::NAN) as f32,
@@ -309,41 +413,32 @@ impl DecodeTable {
         self.zero_index
     }
 
-    /// Index of the representable value a finite input quantizes to.
-    ///
-    /// Fast path: when the input's 16-bit key block contains no decision
-    /// boundary (`lo == hi`, the overwhelmingly common case) the prefix
-    /// pair already *is* the answer; otherwise a short binary search over
-    /// the few in-block boundaries finishes the job.
+    /// Index of the representable value a finite non-zero input
+    /// quantizes to: one compare in its key block, or a binary search of
+    /// exactly the block's boundaries when it holds several.
     #[inline]
     fn index_of_finite(&self, x: f32) -> usize {
-        let k = sort_key(x);
-        let p = (k >> PREFIX_SHIFT) as usize;
-        let mut lo = usize::from(self.prefix[p]);
-        let mut hi = usize::from(self.prefix[p + 1]);
-        while lo < hi {
-            let mid = (lo + hi) >> 1;
-            if self.bounds[mid] <= k {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+        let (e, k) = self.index.locate(x);
+        let base = e & 0xFFFF;
+        if base != MULTI {
+            return (base + u32::from(k & 0xFFFF >= e >> 16)) as usize;
         }
-        lo
+        let (first, end) = self.index.spans[(e >> 16) as usize];
+        let (first, end) = (usize::from(first), usize::from(end));
+        first + self.bounds[first..end].partition_point(|&b| b <= k)
     }
 
     /// Quantizes one value, bit-identical to the scalar path.
     #[inline]
     pub fn quantize_one(&self, x: f32) -> f32 {
-        if x == 0.0 {
-            return if x.is_sign_negative() {
-                self.q_neg_zero
-            } else {
-                self.q_pos_zero
-            };
-        }
-        if !x.is_finite() {
-            return if x.is_nan() {
+        if is_special(x) {
+            return if x == 0.0 {
+                if x.is_sign_negative() {
+                    self.q_neg_zero
+                } else {
+                    self.q_pos_zero
+                }
+            } else if x.is_nan() {
                 self.q_nan
             } else if x > 0.0 {
                 self.q_pos_inf
@@ -355,11 +450,7 @@ impl DecodeTable {
         if v == 0.0 {
             // Inside the zero interval the scalar grid formats preserve the
             // input sign on the flushed zero.
-            if x < 0.0 {
-                self.zero_from_neg
-            } else {
-                self.zero_from_pos
-            }
+            self.zero_from[(x.to_bits() >> 31) as usize]
         } else {
             v
         }
@@ -367,41 +458,18 @@ impl DecodeTable {
 
     /// Quantizes a slice in place (the batch fake-quant hot path).
     ///
-    /// Vectorized: inputs stream `QUANT_LANES` (8) at a time through the
-    /// branchless fast path — per lane one `sort_key` bit-twiddle, one
-    /// adjacent prefix-pair gather, and the `lo == hi` no-boundary test.
-    /// A lane takes the scalar `quantize_one` fallback only
-    /// when its prefix block contains a boundary, its input is ±0.0 or
-    /// non-finite, or its value lands in the zero interval (sign-preserving
-    /// flush). Fast lanes reproduce `quantize_one` exactly: `lo == hi`
-    /// short-circuits `index_of_finite` to `lo`, and a
-    /// non-zero table value skips every special case — so the blocked
-    /// kernel stays bit-identical to the scalar map (pinned per format by
+    /// The AVX2 tier (`lp::simd`) runs eight lanes per step: a magnitude
+    /// clamp, one gathered block-index entry and compare, one gathered
+    /// value, and a select on the sign bit for the zero interval's
+    /// sign-preserving flush. Lanes with ±0.0 or non-finite inputs, or in
+    /// a multi-boundary block, are redone from their original inputs by
+    /// [`DecodeTable::quantize_one`], which also takes whatever the vector
+    /// tier leaves (the whole slice on the portable tier). So the kernel
+    /// stays bit-identical to the scalar map (pinned per format by
     /// `lp::tests::proptest_codec`).
     pub fn quantize_slice(&self, xs: &mut [f32]) {
-        let mut chunks = xs.chunks_exact_mut(QUANT_LANES);
-        for chunk in &mut chunks {
-            let mut lo = [0usize; QUANT_LANES];
-            let mut slow = 0u32;
-            for (l, x) in chunk.iter().enumerate() {
-                let x = *x;
-                let k = sort_key(x);
-                let p = (k >> PREFIX_SHIFT) as usize;
-                let a = usize::from(self.prefix[p]);
-                let b = usize::from(self.prefix[p + 1]);
-                lo[l] = a;
-                slow |= u32::from((a != b) | (x == 0.0) | !x.is_finite()) << l;
-            }
-            for (l, x) in chunk.iter_mut().enumerate() {
-                let v = self.values[lo[l]];
-                if slow & (1 << l) == 0 && v != 0.0 {
-                    *x = v;
-                } else {
-                    *x = self.quantize_one(*x);
-                }
-            }
-        }
-        for x in chunks.into_remainder() {
+        let done = simd::decode_table_quantize(self, xs);
+        for x in &mut xs[done..] {
             *x = self.quantize_one(*x);
         }
     }
@@ -411,15 +479,15 @@ impl DecodeTable {
     /// code, ±∞ saturate to the extreme codes, finite values index their
     /// quantized value.
     #[inline]
-    fn code_one(&self, x: f32) -> u16 {
-        if x == 0.0 || x.is_nan() {
-            self.zero_index
+    pub(crate) fn code_one(&self, x: f32) -> u16 {
+        if !is_special(x) {
+            self.index_of_finite(x) as u16
         } else if x == f32::INFINITY {
             (self.values.len() - 1) as u16
         } else if x == f32::NEG_INFINITY {
             0
         } else {
-            self.index_of_finite(x) as u16
+            self.zero_index
         }
     }
 
@@ -427,38 +495,15 @@ impl DecodeTable {
     /// allocation — the zero-allocation entry point for per-call encode
     /// loops (`lpa`'s tile output encode, packed-weight registration).
     ///
-    /// `out` is cleared first; on return `out.len() == xs.len()`.
-    /// Vectorized with the same `QUANT_LANES`-wide branchless block
-    /// kernel as [`DecodeTable::quantize_slice`] (codes need no
-    /// zero-interval fallback: a finite non-zero input's code *is*
+    /// `out` is cleared first; on return `out.len() == xs.len()`. Runs
+    /// the same kernels as [`DecodeTable::quantize_slice`] (codes need no
+    /// zero-interval flush: a finite non-zero input's code *is*
     /// `index_of_finite`, even when that index holds the value `0.0`).
     pub fn quantize_batch_into(&self, xs: &[f32], out: &mut Vec<u16>) {
         out.clear();
         out.reserve(xs.len());
-        let mut chunks = xs.chunks_exact(QUANT_LANES);
-        for chunk in &mut chunks {
-            let mut codes = [0u16; QUANT_LANES];
-            let mut slow = 0u32;
-            for (l, &x) in chunk.iter().enumerate() {
-                let k = sort_key(x);
-                let p = (k >> PREFIX_SHIFT) as usize;
-                let a = usize::from(self.prefix[p]);
-                let b = usize::from(self.prefix[p + 1]);
-                codes[l] = a as u16;
-                slow |= u32::from((a != b) | (x == 0.0) | !x.is_finite()) << l;
-            }
-            if slow != 0 {
-                for (l, &x) in chunk.iter().enumerate() {
-                    if slow & (1 << l) != 0 {
-                        codes[l] = self.code_one(x);
-                    }
-                }
-            }
-            out.extend_from_slice(&codes);
-        }
-        for &x in chunks.remainder() {
-            out.push(self.code_one(x));
-        }
+        let done = simd::decode_table_codes(self, xs, out);
+        out.extend(xs[done..].iter().map(|&x| self.code_one(x)));
     }
 
     /// Quantizes a batch into table indices (`u16` codes).
@@ -674,34 +719,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_matches_scalar_at_boundaries() {
-        // The adversarial inputs: each value and one ulp around each
-        // measured boundary.
-        let p = LpParams::new(8, 2, 3, 0.0).unwrap();
-        let table = DecodeTable::build(&p);
-        let mut probes = Vec::new();
+    /// The adversarial inputs of a table: each value and its negation,
+    /// each measured boundary and one key either side of it, and the
+    /// specials (both NaN extremes included).
+    fn boundary_probes(table: &DecodeTable) -> Vec<f32> {
+        let mut probes = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::from_bits(0x7FFF_FFFF),
+            f32::from_bits(0xFFFF_FFFF),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
         for &v in table.values() {
-            probes.push(v);
+            probes.extend([v, -v]);
         }
         for &b in &table.bounds {
             if b <= sort_key(f32::MAX) {
-                let x = from_key(b);
-                probes.push(x);
-                probes.push(from_key(b.wrapping_sub(1)));
-                probes.push(from_key(b.saturating_add(1)));
+                probes.extend([from_key(b.wrapping_sub(1)), from_key(b), from_key(b + 1)]);
             }
         }
-        for x in probes {
-            if x.is_nan() {
-                continue;
+        probes
+    }
+
+    #[test]
+    fn table_matches_scalar_at_boundaries() {
+        // Every boundary ±1 key through all three entry points, with the
+        // probe slice shifted so each probe meets every lane of an 8-lane
+        // vector and the scalar tail (the shifted lengths are not all
+        // multiples of 8). The wider formats hold multi-boundary blocks.
+        let mut formats = all_8bit();
+        formats.push(Box::new(PositParams::new(12, 1).unwrap()));
+        formats.push(Box::new(IntQuantizer::new(12, 0.01).unwrap()));
+        let mut multi_blocks = 0;
+        for q in formats {
+            let table = DecodeTable::build(q.as_ref());
+            multi_blocks += table.index.spans.len();
+            let probes = boundary_probes(&table);
+            for shift in 0..8 {
+                let xs = &probes[shift..];
+                let mut sliced = xs.to_vec();
+                table.quantize_slice(&mut sliced);
+                let mut codes = Vec::new();
+                table.quantize_batch_into(xs, &mut codes);
+                for ((&x, &got), &code) in xs.iter().zip(&sliced).zip(&codes) {
+                    let want = (q.quantize(f64::from(x)) as f32).to_bits();
+                    let key = q.codec_key();
+                    let one = table.quantize_one(x).to_bits();
+                    assert_eq!(
+                        one,
+                        want,
+                        "{key}: quantize_one {x:?} ({:#010x})",
+                        x.to_bits()
+                    );
+                    assert_eq!(got.to_bits(), want, "{key}: quantize_slice {x:?}");
+                    let want_code = if x == 0.0 || x.is_nan() {
+                        table.zero_index()
+                    } else if x.is_infinite() {
+                        if x > 0.0 {
+                            table.len() as u16 - 1
+                        } else {
+                            0
+                        }
+                    } else {
+                        table.bounds.partition_point(|&b| b <= sort_key(x)) as u16
+                    };
+                    assert_eq!(code, want_code, "{key}: quantize_batch_into {x:?}");
+                }
             }
-            assert_eq!(
-                table.quantize_one(x).to_bits(),
-                (p.quantize(f64::from(x)) as f32).to_bits(),
-                "input {x:?}"
-            );
         }
+        assert!(
+            multi_blocks > 0,
+            "no format exercised a multi-boundary block"
+        );
+    }
+
+    #[test]
+    fn block_index_is_compact() {
+        // The sizes the module docs quote: a fitted LP8 index fits in
+        // 24 KB with no multi-boundary block, and no index outgrows one
+        // entry per finite 2¹⁶-key block of both signs.
+        let lp8 = DecodeTable::build(&LpParams::new(8, 2, 3, 0.25).unwrap());
+        assert!(
+            lp8.index.entries.len() * 4 <= 24_000,
+            "{}",
+            lp8.index.entries.len()
+        );
+        assert!(lp8.index.spans.is_empty());
+        let widest = DecodeTable::build(&LpParams::new(8, 5, 5, 0.0).unwrap());
+        let finite_blocks = 2 * ((f32::MAX.to_bits() >> 16) + 1) as usize;
+        assert!(widest.index.entries.len() <= finite_blocks);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property-based equivalence of the table codec against the scalar path:
-//! for every format family and bit width 4–16, `DecodeTable`-based batch
+//! for every format family and bit width 2–16 (3–16 for AdaptivFloat and
+//! minifloat, which need a sign, an exponent and a mantissa bit, and for
+//! LNS, whose constructor accepts n ≥ 3),
+//! `DecodeTable`-based batch
 //! quantization must be **bit-identical** (`f32::to_bits`) to the scalar
 //! `quantize` reference — including signed zeros, NaR/non-finite inputs,
 //! saturation at ±max, and inputs deep in the subnormal/flush region.
@@ -28,10 +31,12 @@ fn make(kind: usize, n: u32, a: u32, b: u32, sf_step: i32) -> Box<dyn Quantizer 
             Box::new(PositParams::new(n, es).unwrap())
         }
         2 => {
+            let n = n.max(3);
             let e = (1 + a).clamp(1, n - 1);
             Box::new(AdaptivFloat::new(n, e, sf_step - 1).unwrap())
         }
         3 => {
+            let n = n.max(3);
             let e = (1 + a).clamp(1, n - 1);
             Box::new(MiniFloat::new(n, e).unwrap())
         }
@@ -79,6 +84,9 @@ fn specials() -> Vec<f32> {
         -1e-40, // f32 subnormals
         1.0,
         -1.0,
+        // The NaNs with the largest keys of either sign.
+        f32::from_bits(0x7FFF_FFFF),
+        f32::from_bits(0xFFFF_FFFF),
     ]
 }
 
@@ -86,7 +94,7 @@ proptest! {
     #[test]
     fn table_is_bit_identical_to_scalar(
         kind in 0usize..7,
-        n in 4u32..=16,
+        n in 2u32..=16,
         a in 0u32..2,
         b in 0u32..2,
         sf_step in -1i32..=1,
@@ -115,7 +123,7 @@ proptest! {
     #[test]
     fn batch_codes_decode_to_table_values(
         kind in 0usize..7,
-        n in 4u32..=10,
+        n in 2u32..=10,
         xs in inputs(),
     ) {
         let q = make(kind, n, 1, 1, 0);
@@ -140,7 +148,7 @@ proptest! {
     #[test]
     fn quantize_batch_into_matches_wrapper_and_reuses_buffer(
         kind in 0usize..7,
-        n in 4u32..=16,
+        n in 2u32..=16,
         a in 0u32..2,
         xs in inputs(),
     ) {
@@ -168,7 +176,7 @@ proptest! {
     #[test]
     fn quantize_batch_is_idempotent_through_values(
         kind in 0usize..7,
-        n in 4u32..=10,
+        n in 2u32..=10,
         xs in inputs(),
     ) {
         // Re-quantizing the decoded values must be the identity on codes
