@@ -3,18 +3,13 @@
 //! Exercises the whole `serve` subsystem end to end and writes
 //! `BENCH_serve.json` at the workspace root:
 //!
-//! 1. **Pool vs scoped threads** — LPQ-style candidate evaluation
-//!    (quantize weights, then fan calibration forward passes out per
-//!    candidate) timed on the retired spawn-per-call
-//!    `dnn::data::par_map_scoped` baseline and on the pooled
-//!    work-stealing executor.
-//! 2. **Batched vs per-input serving** — the same model + scheme served
+//! 1. **Batched vs per-input serving** — the same model + scheme served
 //!    two ways on identical load: the retired per-input fan-out over a
 //!    fake-quantized **f32 copy** (`ServedModel::register_per_input`) and
 //!    the packed batched hot path (`ServedModel::register`: `u16` codes,
 //!    one stacked GEMM per layer via `Model::forward_batch`). Reports
 //!    req/s for both and the resident-weight-bytes delta.
-//! 3. **Async vs sync front-end** (`async_vs_sync`) — the same packed
+//! 2. **Async vs sync front-end** (`async_vs_sync`) — the same packed
 //!    batched registration driven two ways at the same offered load:
 //!    thread-per-request synchronous `Client`s (one blocked OS thread per
 //!    outstanding request) vs **one** driver thread holding the whole
@@ -22,7 +17,7 @@
 //!    [`serve::async_front::AsyncClient`]. A second, capped registration
 //!    is then deliberately overloaded to show admission control shedding
 //!    (`ServeError::Rejected`) with bounded queue depth and p99.
-//! 4. **Policy study** (`policy_study`) — the pluggable scheduling layer
+//! 3. **Policy study** (`policy_study`) — the pluggable scheduling layer
 //!    on dedicated sleep-calibrated servers, so the numbers measure the
 //!    *scheduler* rather than GEMM speed: (a) three scenarios at WFQ
 //!    weights 1/2/4 under full saturation, whose measured throughput
@@ -32,7 +27,7 @@
 //!    deadline scenario whose expired requests are shed with
 //!    `DeadlineExpired` at dispatch while the p99 of *accepted* requests
 //!    stays under the budget.
-//! 5. **Multi-model serving** — two models × two quantization scenarios
+//! 4. **Multi-model serving** — two models × two quantization scenarios
 //!    (plus a duplicate scenario proving code sharing) registered on one
 //!    batching server, hammered by concurrent synchronous clients;
 //!    reports requests/s, per-registration mean/p50/p99 latency **and
@@ -40,7 +35,7 @@
 //!    submitted/per-reason-shed/queue-depth counters, and the pool's
 //!    per-worker executed/stolen/steal-failure/park counters — all
 //!    printed through the shared [`Server::report`] table.
-//! 6. **Trace overhead** (`trace_overhead`) — the observability gate:
+//! 5. **Trace overhead** (`trace_overhead`) — the observability gate:
 //!    the same packed registration driven through the async front with
 //!    ring-buffer event recording toggled off and on
 //!    (`serve::trace::set_enabled`, interleaved reps, best of each),
@@ -51,31 +46,27 @@
 //!
 //! Environment knobs (all optional): `SERVE_BENCH_REQUESTS` (total
 //! requests in phase 4, default 240), `SERVE_BENCH_CLIENTS` (client
-//! threads, default 8), `SERVE_BENCH_CANDIDATES` (candidates in the
-//! executor comparison, default 6), `SERVE_BENCH_CALIB` (calibration
-//! images per candidate, default 16), `SERVE_BENCH_CHUNK` (images per
-//! fan-out call, default 4), `SERVE_BENCH_REPS` (interleaved A/B
-//! repetitions, default 7), `SERVE_BENCH_AB_REQUESTS` /
-//! `SERVE_BENCH_AB_CLIENTS` (phase-2 load, defaults 600 / 16),
-//! `SERVE_BENCH_INFLIGHT` (phase-3 in-flight window = sync client
-//! threads, default 1536), `SERVE_BENCH_ASYNC_REQUESTS` (phase-3 total,
+//! threads, default 8), `SERVE_BENCH_AB_REQUESTS` /
+//! `SERVE_BENCH_AB_CLIENTS` (phase-1 load, defaults 600 / 16),
+//! `SERVE_BENCH_INFLIGHT` (phase-2 in-flight window = sync client
+//! threads, default 1536), `SERVE_BENCH_ASYNC_REQUESTS` (phase-2 total,
 //! default 4096), `SERVE_BENCH_QUEUE_CAP` / `SERVE_BENCH_SHED_OFFERED`
-//! (phase-3 overload study, defaults 64 / 2048),
-//! `SERVE_BENCH_WFQ_BACKLOG` (phase-4 per-scenario backlog, default
+//! (phase-2 overload study, defaults 64 / 2048),
+//! `SERVE_BENCH_WFQ_BACKLOG` (phase-3 per-scenario backlog, default
 //! 1200), `SERVE_BENCH_PRIO_BACKLOG` / `SERVE_BENCH_PRIO_PROBES`
-//! (phase-4 strict-priority study, defaults 60 / 20),
+//! (phase-3 strict-priority study, defaults 60 / 20),
 //! `SERVE_BENCH_DEADLINE_BUDGET_MS` / `SERVE_BENCH_DEADLINE_BURST`
-//! (phase-4 deadline study, defaults 1000 / 4096),
+//! (phase-3 deadline study, defaults 1000 / 4096),
 //! `SERVE_BENCH_NET_CONNS` / `SERVE_BENCH_NET_INFLIGHT` /
-//! `SERVE_BENCH_NET_REQUESTS` / `SERVE_BENCH_NET_PAYLOAD` (phase-4d
+//! `SERVE_BENCH_NET_REQUESTS` / `SERVE_BENCH_NET_PAYLOAD` (phase-3d
 //! loopback wire study: connections, per-connection in-flight window,
 //! requests per connection, payload bytes; defaults 4 / 8 / 1000 / 64),
 //! `SERVE_BENCH_TRACE_REQUESTS` / `SERVE_BENCH_TRACE_REPS` /
-//! `SERVE_BENCH_TRACE_INFLIGHT` (phase-6 A/B load, defaults 2048 / 3 /
-//! 256), `SERVE_BENCH_TRACE_MAX_OVERHEAD_PCT` (phase-6 overhead budget
+//! `SERVE_BENCH_TRACE_INFLIGHT` (phase-5 A/B load, defaults 2048 / 3 /
+//! 256), `SERVE_BENCH_TRACE_MAX_OVERHEAD_PCT` (phase-5 overhead budget
 //! in percent, default 5; CI smoke runs relax it because tiny runs are
 //! noise-dominated — the committed artifact comes from a full run), and
-//! `SERVE_THREADS` (pool size; the phase-4 studies run on their own
+//! `SERVE_THREADS` (pool size; the phase-3 studies run on their own
 //! fixed 2-worker / 1-worker pools so their shares and sheds are
 //! box-independent). CI runs
 //! this in smoke mode with tiny counts; the defaults produce a meaningful
@@ -83,7 +74,7 @@
 //! (`config`), so runs are self-describing.
 
 use dnn::data;
-use dnn::graph::{Model, Op, QuantScheme};
+use dnn::graph::{Model, Op};
 use dnn::serving::ServedModel;
 use dnn::Tensor;
 use serve::net::{NetClient, NetConfig, NetServer, Status};
@@ -95,58 +86,6 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One LPQ-candidate-evaluation pass: quantize the model's weights under
-/// `scheme` (through its weight cache) and fan the calibration images
-/// through the quantized model in micro-batches of `chunk` — the
-/// granularity at which an LPQ search and the batching server actually
-/// issue fan-outs — on the pooled executor or on the retired scoped-thread
-/// baseline.
-fn evaluate_candidate(
-    model: &Model,
-    scheme: &QuantScheme,
-    calib: &[Tensor],
-    chunk: usize,
-    pooled: bool,
-) -> usize {
-    let qm = model.quantize_weights(scheme);
-    let f = |x: &Tensor| qm.forward_traced(x, None, false).output.argmax();
-    let mut sum = 0usize;
-    for batch in calib.chunks(chunk) {
-        let preds = if pooled {
-            data::par_map(batch, f)
-        } else {
-            data::par_map_scoped(batch, f)
-        };
-        sum += preds.into_iter().sum::<usize>();
-    }
-    sum
-}
-
-/// Times `reps` full candidate sweeps each for the scoped baseline and
-/// the pooled executor, interleaved A/B to decorrelate machine jitter,
-/// returning `(best_scoped_s, best_pooled_s)`.
-fn time_sweeps(
-    model: &Model,
-    schemes: &[QuantScheme],
-    calib: &[Tensor],
-    chunk: usize,
-    reps: usize,
-) -> (f64, f64) {
-    let mut best = [f64::INFINITY; 2];
-    let mut sink = 0usize;
-    for _ in 0..reps {
-        for (slot, pooled) in [(0usize, false), (1, true)] {
-            let t = Instant::now();
-            for scheme in schemes {
-                sink = sink.wrapping_add(evaluate_candidate(model, scheme, calib, chunk, pooled));
-            }
-            best[slot] = best[slot].min(t.elapsed().as_secs_f64());
-        }
-    }
-    std::hint::black_box(sink);
-    (best[0], best[1])
-}
 
 /// An MLP whose layers see rank-1 inputs — the workload where batching
 /// amortizes weight traversal hardest (every per-input GEMM is `m = 1`).
@@ -710,7 +649,7 @@ fn overload_study(budget_ms: u64, service_ms: u64, burst: usize) -> OverloadStud
             .infer("overload", "predictive", i as u64)
             .expect("warm-up against an empty queue must be admitted");
     }
-    // The sync completer is fulfilled just before the dispatch task
+    // A sync request is fulfilled just before the dispatch task
     // releases its admission slot; let the last warm-up slot drain so
     // the burst starts from a provably empty queue.
     std::thread::sleep(Duration::from_millis(20));
@@ -936,9 +875,6 @@ fn main() {
     }
     let requests = bench::env_usize("SERVE_BENCH_REQUESTS", 240);
     let clients = bench::env_usize("SERVE_BENCH_CLIENTS", 8);
-    let candidates = bench::env_usize("SERVE_BENCH_CANDIDATES", 6);
-    let calib_n = bench::env_usize("SERVE_BENCH_CALIB", 16);
-    let chunk = bench::env_usize("SERVE_BENCH_CHUNK", 4);
     let pool = Pool::global();
     println!(
         "serve_throughput: {} pool workers, {requests} requests, {clients} clients",
@@ -946,40 +882,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Part 1: pooled executor vs scoped-thread baseline on LPQ candidate
-    // evaluation.
-    // ------------------------------------------------------------------
-    let model = bench::model("resnet18");
-    let calib: Vec<Tensor> = data::calibration_set(&model)
-        .into_iter()
-        .take(calib_n)
-        .collect();
-    // Candidate schemes at varying widths/scale offsets, all bound to one
-    // shared weight cache exactly as `lpq::Lpq` does.
-    let cache = QuantScheme::identity(model.num_quant_layers()).weight_cache();
-    let schemes: Vec<QuantScheme> = (0..candidates)
-        .map(|i| {
-            let bits = [8u32, 4, 8, 4, 6, 6][i % 6];
-            bench::uniform_lp_scheme(&model, bits).with_shared_cache(Arc::clone(&cache))
-        })
-        .collect();
-    // Warm the weight cache and codec tables once so both paths measure
-    // steady-state executor overhead, not table construction.
-    for s in &schemes {
-        let _ = evaluate_candidate(&model, s, &calib[..1.min(calib.len())], chunk, true);
-    }
-    let reps = bench::env_usize("SERVE_BENCH_REPS", 7);
-    let (scoped_s, pooled_s) = time_sweeps(&model, &schemes, &calib, chunk, reps);
-    let speedup = scoped_s / pooled_s.max(1e-12);
-    println!(
-        "lpq candidate evaluation ({candidates} candidates x {} images, \
-         micro-batches of {chunk}): scoped {scoped_s:.4}s, pooled {pooled_s:.4}s, \
-         speedup {speedup:.2}x",
-        calib.len()
-    );
-
-    // ------------------------------------------------------------------
-    // Part 2: batched packed serving vs per-input f32 fan-out, same model,
+    // Part 1: batched packed serving vs per-input f32 fan-out, same model,
     // same scheme, same load. max_batch 4 with more clients than batch
     // slots keeps several batches in flight, so both paths saturate the
     // pool and the delta isolates the hot path itself.
@@ -1010,9 +913,8 @@ fn main() {
         mlp.register(&server, "lp8", bench::uniform_lp_scheme(mlp.model(), 8))
             .expect("batched registration failed");
         // Warm up against a twin registration (cache-shared codes, same
-        // model) so the timed registration's bounded batch-size log holds
-        // *only* the timed window's dispatches — an index into the log
-        // would misalign if the log's overflow drain fired mid-run.
+        // model) so the timed registration's batch-size totals count
+        // *only* the timed window's dispatches.
         mlp.register(
             &server,
             "lp8_warmup",
@@ -1028,8 +930,6 @@ fn main() {
             ab_clients * 2,
         );
         let (_, rps) = hammer(&server, &mlp_combo, &mlp_inputs, ab_clients, ab_requests);
-        // Exact through any thinning: the batch-size log is a reservoir
-        // with exact count/sum.
         let mean_batch = server
             .batch_size_stats("mlp_256", "lp8")
             .expect("batch sizes")
@@ -1053,7 +953,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Part 3: async completion-queue front-end vs thread-per-request
+    // Part 2: async completion-queue front-end vs thread-per-request
     // synchronous clients, same registration, same offered load — then an
     // overload study on a capped registration to exercise load shedding.
     // ------------------------------------------------------------------
@@ -1065,7 +965,7 @@ fn main() {
         let server: Server<Tensor, Tensor> = Server::new(pool.clone(), ab_policy);
         // Throughput registration: cap well above the window so the
         // comparison itself never sheds. (The codes are shared with the
-        // part-2 registrations through the model's weight cache — packing
+        // part-1 registrations through the model's weight cache — packing
         // here costs nothing.)
         let throughput_cap = window * 2;
         mlp.register_spec(
@@ -1191,7 +1091,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Part 4: the pluggable scheduling layer, on dedicated fixed-size
+    // Part 3: the pluggable scheduling layer, on dedicated fixed-size
     // pools with sleep-calibrated batch functions (box-independent).
     // ------------------------------------------------------------------
     let wfq_backlog = bench::env_usize("SERVE_BENCH_WFQ_BACKLOG", 1200);
@@ -1262,7 +1162,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Part 4b: the overload-control layer — predictive admission under a
+    // Part 3b: the overload-control layer — predictive admission under a
     // doomed burst, and the reserved high-lane A/B.
     // ------------------------------------------------------------------
     let overload_budget_ms = bench::env_usize("SERVE_BENCH_OVERLOAD_BUDGET_MS", 150) as u64;
@@ -1323,7 +1223,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Part 4d: the network edge. Loopback TCP echo through the framed
+    // Part 3d: the network edge. Loopback TCP echo through the framed
     // wire protocol — N connections x M in-flight frames per connection.
     // ------------------------------------------------------------------
     let net_conns = bench::env_usize("SERVE_BENCH_NET_CONNS", 4);
@@ -1353,7 +1253,7 @@ fn main() {
     assert_eq!(net.protocol_errors, 0, "a clean run has no framing errors");
 
     // ------------------------------------------------------------------
-    // Part 5: multi-model multi-scenario serving on the packed batched
+    // Part 4: multi-model multi-scenario serving on the packed batched
     // path, with resident-weight accounting.
     // ------------------------------------------------------------------
     let server: Server<Tensor, Tensor> = Server::new(
@@ -1472,7 +1372,7 @@ fn main() {
     let pool_stats = pool.stats();
 
     // ------------------------------------------------------------------
-    // Part 6: what does observability cost? The same packed registration
+    // Part 5: what does observability cost? The same packed registration
     // driven through the async front with ring-buffer event recording
     // off and on, interleaved; then a short traced run exported as a
     // Chrome trace for TRACE_serve.json.
@@ -1582,8 +1482,6 @@ fn main() {
     );
 
     // Fail loudly on broken measurements before writing the artifact.
-    bench::check_metric("scoped_threads_s", scoped_s);
-    bench::check_metric("pooled_s", pooled_s);
     bench::check_metric("per_input_rps", ab.per_input_rps);
     bench::check_metric("batched_rps", ab.batched_rps);
     bench::check_metric("mean_batch", ab.mean_batch);
@@ -1640,11 +1538,6 @@ fn main() {
 
     write_json(
         pool.threads(),
-        candidates,
-        calib.len(),
-        chunk,
-        scoped_s,
-        pooled_s,
         &ab,
         &avs,
         &policy,
@@ -1666,11 +1559,6 @@ fn main() {
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     threads: usize,
-    candidates: usize,
-    calib: usize,
-    chunk: usize,
-    scoped_s: f64,
-    pooled_s: f64,
     ab: &AbResult,
     avs: &AsyncVsSync,
     policy: &PolicyStudy,
@@ -1762,21 +1650,7 @@ fn write_json(
         "    \"net_payload_bytes\": {},\n",
         net.payload_bytes
     ));
-    out.push_str(&format!("    \"serving_requests\": {requests},\n"));
-    out.push_str(&format!("    \"lpq_candidates\": {candidates},\n"));
-    out.push_str(&format!("    \"lpq_calibration_images\": {calib},\n"));
-    out.push_str(&format!("    \"lpq_micro_batch\": {chunk}\n"));
-    out.push_str("  },\n");
-    out.push_str("  \"lpq_candidate_eval\": {\n");
-    out.push_str(&format!("    \"candidates\": {candidates},\n"));
-    out.push_str(&format!("    \"calibration_images\": {calib},\n"));
-    out.push_str(&format!("    \"micro_batch\": {chunk},\n"));
-    out.push_str(&format!("    \"scoped_threads_s\": {scoped_s:.6},\n"));
-    out.push_str(&format!("    \"pooled_s\": {pooled_s:.6},\n"));
-    out.push_str(&format!(
-        "    \"pool_speedup\": {:.3}\n",
-        scoped_s / pooled_s.max(1e-12)
-    ));
+    out.push_str(&format!("    \"serving_requests\": {requests}\n"));
     out.push_str("  },\n");
     out.push_str("  \"batched_vs_per_input\": {\n");
     out.push_str("    \"model\": \"mlp_256\",\n");

@@ -15,7 +15,6 @@ use crate::graph::{Model, QuantScheme};
 use crate::tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Mutex;
 
 /// The paper's calibration-set size (§6: "128 randomly sampled images").
 pub const CALIBRATION_SIZE: usize = 128;
@@ -128,43 +127,6 @@ where
     serve::pool::par_map_pooled(items, f)
 }
 
-/// The retired spawn-per-call implementation: one batch of scoped OS
-/// threads spawned for every call. Kept (not deprecated) as the measured
-/// baseline for the pooled executor — `serve_throughput` reports the
-/// pooled-vs-scoped speedup on LPQ candidate evaluation against this. The
-/// thread count follows the same `SERVE_THREADS` convention as the pool
-/// ([`serve::pool::configured_threads`]) so the comparison isolates
-/// *spawn-per-call vs pooled*, not two different parallelism settings.
-pub fn par_map_scoped<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let threads = serve::pool::configured_threads().min(items.len().max(1));
-    if threads <= 1 || items.len() < 4 {
-        return items.iter().map(&f).collect();
-    }
-    let results: Vec<Mutex<Option<U>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed); // ordering: relaxed work-claim index; the scope join orders all writes
-                if i >= items.len() {
-                    break;
-                }
-                let out = f(&items[i]);
-                *results[i].lock().expect("poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("poisoned").expect("filled"))
-        .collect()
-}
-
 /// Teacher predictions: argmax class of the model on each input.
 pub fn predictions(model: &Model, inputs: &[Tensor]) -> Vec<usize> {
     par_map(inputs, |x| model.forward(x).argmax())
@@ -258,15 +220,6 @@ mod tests {
         assert_eq!(small, vec![2, 3]);
         let empty: Vec<i32> = par_map(&[] as &[i32], |&x| x);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn par_map_matches_scoped_baseline() {
-        let items: Vec<usize> = (0..64).collect();
-        assert_eq!(
-            par_map(&items, |&x| x * x),
-            par_map_scoped(&items, |&x| x * x)
-        );
     }
 
     #[test]

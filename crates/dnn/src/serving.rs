@@ -293,7 +293,7 @@ mod tests {
     }
 
     /// The stage histograms fill in through the DNN glue exactly like the
-    /// end-to-end reservoir: one sample per stage per completed request,
+    /// end-to-end one: one sample per stage per completed request,
     /// and the stage means sum to the end-to-end mean (the dispatch path
     /// derives all four durations from shared instants).
     #[test]

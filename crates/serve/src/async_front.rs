@@ -4,9 +4,7 @@
 //! thread per outstanding request, so concurrency scales with threads —
 //! the wrong axis for a server meant to hold thousands of requests in
 //! flight. This module adds a second face onto the *same* per-`(model,
-//! scenario)` queues, scheduler and statistics, in two layers:
-//!
-//! ## 1. Tickets and the completion queue
+//! scenario)` queues, scheduler and statistics.
 //!
 //! [`AsyncClient::submit`] admits a request and returns a [`Ticket`]
 //! **immediately** — nothing blocks. When the micro-batch containing the
@@ -23,6 +21,10 @@
 //!   poll   ◄── completion queue ◄───────── fulfill ──────┘
 //! ```
 //!
+//! The completion queue is the server's only completion path: a
+//! synchronous [`Client::infer`](crate::server::Client::infer) is a
+//! private one-slot queue — one submit, then an untimed wait.
+//!
 //! Backpressure is explicit: every registration's
 //! [`AdmissionPolicy`](crate::server::AdmissionPolicy) caps its
 //! outstanding requests, and a submission over the cap returns
@@ -30,28 +32,15 @@
 //! enqueuing anything (load shedding — counted in
 //! [`StatsSnapshot::shed`](crate::stats::StatsSnapshot::shed)).
 //!
-//! ## 2. Hand-rolled futures and the reactor
-//!
-//! [`AsyncClient::submit_future`] returns an [`InferFuture`] — a real
-//! [`std::future::Future`] with no tokio underneath (the build
-//! environment is offline; the only runtime machinery is
-//! [`std::task::Wake`]). The [`reactor`] drives them:
-//! [`reactor::block_on`] runs one future on a thread-parking waker;
-//! [`reactor::block_on_all`] multiplexes any number of in-flight futures
-//! on a single thread, re-polling only futures whose wakers fired.
-//!
-//! Both layers deliver **exactly one completion per accepted
-//! submission** — also through server shutdown, where queued requests are
-//! fulfilled with `ShuttingDown` rather than dropped, so a driver loop
-//! counting completions can never hang.
+//! Every accepted submission gets **exactly one completion** — also
+//! through server shutdown, where queued requests are fulfilled with
+//! `ShuttingDown` rather than dropped, so a driver loop counting
+//! completions can never hang.
 
-use crate::server::{Completer, Inner, Registration, ServeError};
+use crate::server::{Inner, Registration, ServeError};
 use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// Opaque identity of one accepted asynchronous submission. Process-wide
@@ -79,8 +68,8 @@ pub struct Completion<O> {
 }
 
 /// The completion queue one [`AsyncClient`] owns: finished `(id, result)`
-/// pairs plus the in-flight count. Shared with the dispatcher through
-/// [`Completer::Queue`](crate::server::Completer).
+/// pairs plus the in-flight count. Every queued request carries its
+/// submitter's queue, and the dispatcher fulfills it there.
 pub(crate) struct CqShared<O> {
     done: Mutex<VecDeque<(u64, Result<O, ServeError>)>>,
     ready: Condvar,
@@ -98,46 +87,10 @@ impl<O> CqShared<O> {
     }
 
     /// Dispatcher-side delivery: push the completion and wake any waiter.
-    pub(crate) fn complete(&self, id: u64, r: Result<O, ServeError>) {
+    pub(crate) fn fulfill(&self, id: u64, r: Result<O, ServeError>) {
         self.done.lock().expect("cq poisoned").push_back((id, r));
         self.in_flight.fetch_sub(1, Ordering::Relaxed); // ordering: relaxed observer gauge; waiters sync on the done mutex, not this counter
         self.ready.notify_all();
-    }
-}
-
-/// Shared state of one [`InferFuture`]: the eventual result plus the
-/// waker of whichever task last polled it. Fulfilled by the dispatcher
-/// through [`Completer::Future`](crate::server::Completer).
-pub(crate) struct FutShared<O> {
-    state: Mutex<FutState<O>>,
-}
-
-struct FutState<O> {
-    result: Option<Result<O, ServeError>>,
-    waker: Option<Waker>,
-}
-
-impl<O> FutShared<O> {
-    fn new() -> Self {
-        FutShared {
-            state: Mutex::new(FutState {
-                result: None,
-                waker: None,
-            }),
-        }
-    }
-
-    /// Dispatcher-side delivery: store the result, then wake the task.
-    pub(crate) fn complete(&self, r: Result<O, ServeError>) {
-        let waker = {
-            let mut st = self.state.lock().expect("future poisoned");
-            st.result = Some(r);
-            st.waker.take()
-        };
-        // Wake outside the lock: the woken task may poll immediately.
-        if let Some(w) = waker {
-            w.wake();
-        }
     }
 }
 
@@ -247,42 +200,13 @@ impl<I: Send + 'static, O: Send + 'static> AsyncClient<I, O> {
         // the gauge itself is observational (single_thread_drives_a_large_inflight_window
         // and shutdown_fails_inflight_tickets_instead_of_hanging pin its bookkeeping).
         self.cq.in_flight.fetch_add(1, Ordering::Relaxed);
-        match self
-            .inner
-            .submit_to(reg, input, Completer::Queue(Arc::clone(&self.cq)))
-        {
+        match self.inner.submit_to(reg, input, &self.cq) {
             Ok(id) => Ok(Ticket(id)),
             Err(e) => {
                 self.cq.in_flight.fetch_sub(1, Ordering::Relaxed); // ordering: relaxed; same observer gauge
                 Err(e)
             }
         }
-    }
-
-    /// Submits one request as a hand-rolled [`InferFuture`] (resolved by
-    /// the dispatcher, independent of this client's completion queue).
-    /// Drive it with [`reactor::block_on`] / [`reactor::block_on_all`] or
-    /// any executor.
-    ///
-    /// # Errors
-    ///
-    /// Same admission errors as [`AsyncClient::submit`]; rejection
-    /// happens here, synchronously, never inside the future.
-    pub fn submit_future(
-        &self,
-        model: &str,
-        scenario: &str,
-        input: I,
-    ) -> Result<InferFuture<O>, ServeError> {
-        let reg = self.inner.lookup(model, scenario)?;
-        let shared = Arc::new(FutShared::new());
-        let id = self
-            .inner
-            .submit_to(&reg, input, Completer::Future(Arc::clone(&shared)))?;
-        Ok(InferFuture {
-            ticket: Ticket(id),
-            shared,
-        })
     }
 
     /// Pops one completion if any is ready (non-blocking).
@@ -292,19 +216,34 @@ impl<I: Send + 'static, O: Send + 'static> AsyncClient<I, O> {
 
     /// Blocks up to `timeout` for a completion. `None` on timeout —
     /// which, with in-flight tickets, means they are still being served.
+    /// A `timeout` too large to add to the clock (such as
+    /// [`Duration::MAX`]) waits without one.
     pub fn wait(&self, timeout: Duration) -> Option<Completion<O>> {
-        let deadline = Instant::now() + timeout;
+        self.wait_until(Instant::now().checked_add(timeout))
+    }
+
+    /// Blocks until a completion arrives or `deadline` passes (`None`:
+    /// no deadline, so the result is always `Some`).
+    pub(crate) fn wait_until(&self, deadline: Option<Instant>) -> Option<Completion<O>> {
         let mut done = self.cq.done.lock().expect("cq poisoned");
         loop {
             if let Some(c) = self.pop(&mut done) {
                 return Some(c);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            let (guard, _) = self.cq.ready.wait_timeout(done, left).expect("cq poisoned");
-            done = guard;
+            done = match deadline {
+                None => self.cq.ready.wait(done).expect("cq poisoned"),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.cq
+                        .ready
+                        .wait_timeout(done, left)
+                        .expect("cq poisoned")
+                        .0
+                }
+            };
         }
     }
 
@@ -359,188 +298,6 @@ impl<I: Send + 'static, O: Send + 'static> Endpoint<I, O> {
     /// The owning [`AsyncClient`] (for polling completions).
     pub fn client(&self) -> &AsyncClient<I, O> {
         &self.client
-    }
-}
-
-/// A pending inference response — a hand-rolled [`Future`] fulfilled by
-/// the dispatch path, with no runtime dependency. Obtain from
-/// [`AsyncClient::submit_future`]; drive with [`reactor::block_on`],
-/// [`reactor::block_on_all`], or any executor.
-pub struct InferFuture<O> {
-    ticket: Ticket,
-    shared: Arc<FutShared<O>>,
-}
-
-impl<O> InferFuture<O> {
-    /// The ticket identifying this submission.
-    pub fn ticket(&self) -> Ticket {
-        self.ticket
-    }
-}
-
-impl<O> Future for InferFuture<O> {
-    type Output = Result<O, ServeError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.shared.state.lock().expect("future poisoned");
-        if let Some(r) = st.result.take() {
-            return Poll::Ready(r);
-        }
-        // Keep only the most recent waker: a future re-polled from a new
-        // task must be woken there, not at its previous home.
-        st.waker = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-impl<O> std::fmt::Debug for InferFuture<O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InferFuture")
-            .field("ticket", &self.ticket)
-            .finish()
-    }
-}
-
-/// A minimal executor for [`InferFuture`]s (or any futures): thread-park
-/// wakers, no allocated runtime, no I/O — completions arrive from the
-/// server's pool threads, so all the reactor does is sleep until a waker
-/// fires and re-poll exactly the futures that were woken.
-pub mod reactor {
-    use std::future::Future;
-    use std::pin::Pin;
-    use std::sync::{Arc, Mutex};
-    use std::task::{Context, Poll, Wake, Waker};
-    use std::thread::{self, Thread};
-
-    /// Wakes the parked driver thread.
-    struct ThreadWaker {
-        thread: Thread,
-    }
-
-    impl Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.thread.unpark();
-        }
-    }
-
-    /// Runs one future to completion on the calling thread, parking
-    /// between polls.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use serve::async_front::reactor;
-    /// use serve::pool::Pool;
-    /// use serve::server::{BatchPolicy, ScenarioSpec, Server};
-    ///
-    /// let server: Server<u64, u64> = Server::new(Pool::new(2), BatchPolicy::default());
-    /// server
-    ///     .register(ScenarioSpec::new("echo", "inc"), |xs: &[u64]| {
-    ///         xs.iter().map(|x| x + 1).collect()
-    ///     })
-    ///     .unwrap();
-    /// let cq = server.async_client();
-    /// let fut = cq.submit_future("echo", "inc", 41).unwrap();
-    /// assert_eq!(reactor::block_on(fut), Ok(42));
-    /// ```
-    pub fn block_on<F: Future>(fut: F) -> F::Output {
-        let waker = Waker::from(Arc::new(ThreadWaker {
-            thread: thread::current(),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        let mut fut = std::pin::pin!(fut);
-        loop {
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(v) => return v,
-                // A wake between poll and park leaves the unpark token
-                // set, so park returns immediately — no lost wakeup.
-                Poll::Pending => thread::park(),
-            }
-        }
-    }
-
-    /// Wakes the driver and records *which* future fired, so the driver
-    /// re-polls only woken futures instead of scanning the whole window.
-    struct IndexWaker {
-        index: usize,
-        woken: Arc<WokenSet>,
-    }
-
-    struct WokenSet {
-        indices: Mutex<Vec<usize>>,
-        thread: Thread,
-    }
-
-    impl Wake for IndexWaker {
-        fn wake(self: Arc<Self>) {
-            self.woken
-                .indices
-                .lock()
-                .expect("woken set poisoned")
-                .push(self.index);
-            self.woken.thread.unpark();
-        }
-    }
-
-    /// Drives every future to completion **on the calling thread**,
-    /// returning their outputs in input order. This is the reactor loop
-    /// that multiplexes thousands of in-flight requests over one OS
-    /// thread: all futures are polled once to get in flight, then the
-    /// thread parks and re-polls only the futures whose wakers fired.
-    ///
-    /// Completion order does not matter — slow responses do not block
-    /// harvesting fast ones; only the final *return* waits for all.
-    pub fn block_on_all<F: Future>(futs: Vec<F>) -> Vec<F::Output> {
-        let n = futs.len();
-        let woken = Arc::new(WokenSet {
-            indices: Mutex::new(Vec::new()),
-            thread: thread::current(),
-        });
-        let mut slots: Vec<Option<(Pin<Box<F>>, Waker)>> = futs
-            .into_iter()
-            .enumerate()
-            .map(|(index, f)| {
-                let waker = Waker::from(Arc::new(IndexWaker {
-                    index,
-                    woken: Arc::clone(&woken),
-                }));
-                Some((Box::pin(f), waker))
-            })
-            .collect();
-        let mut out: Vec<Option<F::Output>> = (0..n).map(|_| None).collect();
-        let mut remaining = n;
-        let mut to_poll: Vec<usize> = (0..n).collect();
-        while remaining > 0 {
-            for i in to_poll.drain(..) {
-                // A stale wake for an already-finished future is skipped.
-                let Some((fut, waker)) = slots[i].as_mut() else {
-                    continue;
-                };
-                let mut cx = Context::from_waker(waker);
-                if let Poll::Ready(v) = fut.as_mut().poll(&mut cx) {
-                    out[i] = Some(v);
-                    slots[i] = None;
-                    remaining -= 1;
-                }
-            }
-            if remaining == 0 {
-                break;
-            }
-            loop {
-                let fired = std::mem::take(&mut *woken.indices.lock().expect("woken set poisoned"));
-                if !fired.is_empty() {
-                    to_poll = fired;
-                    break;
-                }
-                // A wake landing after the take() above set the unpark
-                // token, so this park returns immediately; stale tokens
-                // only cost one spurious loop.
-                thread::park();
-            }
-        }
-        out.into_iter()
-            .map(|v| v.expect("future finished without output"))
-            .collect()
     }
 }
 
@@ -702,27 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn futures_resolve_under_reactor() {
-        let server = test_server(16, 1);
-        server
-            .register(ScenarioSpec::new("m", "s"), |xs: &[u64]| {
-                xs.iter().map(|x| x * x).collect()
-            })
-            .unwrap();
-        let cq = server.async_client();
-        let futs: Vec<InferFuture<u64>> = (0..100u64)
-            .map(|i| cq.submit_future("m", "s", i).unwrap())
-            .collect();
-        // Order is preserved even though completions arrive out of order.
-        let results = reactor::block_on_all(futs);
-        for (i, r) in results.into_iter().enumerate() {
-            assert_eq!(r, Ok((i * i) as u64));
-        }
-        let one = cq.submit_future("m", "s", 12).unwrap();
-        assert_eq!(reactor::block_on(one), Ok(144));
-    }
-
-    #[test]
     fn shutdown_fails_inflight_tickets_instead_of_hanging() {
         let server = test_server(1024, 10_000);
         server
@@ -766,5 +502,36 @@ mod tests {
         assert!(cq.wait(Duration::from_millis(30)).is_none());
         assert!(t0.elapsed() >= Duration::from_millis(25));
         assert!(cq.poll().is_none());
+    }
+
+    #[test]
+    fn wait_without_a_representable_deadline_still_completes() {
+        // The batch blocks until the gate opens, so the ticket is still in
+        // flight when the wait starts; a `now + Duration::MAX` deadline
+        // would overflow the clock.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let g = Arc::clone(&gate);
+        let server = test_server(1, 0);
+        server
+            .register(ScenarioSpec::new("m", "s"), move |xs: &[u64]| {
+                let (open, cv) = &*g;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                xs.iter().map(|x| x + 1).collect()
+            })
+            .unwrap();
+        let cq = server.async_client();
+        let t = cq.submit("m", "s", 41).unwrap();
+        assert_eq!(cq.in_flight(), 1);
+        let opener = std::thread::spawn(move || {
+            *gate.0.lock().unwrap() = true;
+            gate.1.notify_all();
+        });
+        let c = cq.wait(Duration::MAX).expect("untimed wait returns");
+        opener.join().unwrap();
+        assert_eq!((c.ticket, c.result), (t, Ok(42)));
+        assert_eq!(cq.in_flight(), 0);
     }
 }

@@ -19,25 +19,28 @@
 //!   pool; synchronous [`server::Client`] handles; per-registration
 //!   admission control ([`server::AdmissionPolicy`] queue caps) and
 //!   deadline budgets, each shedding with its own typed error; and
-//!   per-registration [`stats`] (count, mean, p50/p99 latency,
-//!   per-reason shed / queue-depth / starvation counters, plus
-//!   per-priority-class aggregation).
+//!   per-registration [`stats`] (count, mean, p50/p99 latency from
+//!   exact-count histograms, batch-size totals, per-reason shed /
+//!   queue-depth / starvation counters, plus per-priority-class
+//!   aggregation).
 //!
 //! On top of the server sits [`async_front`] — the poll/completion-queue
 //! asynchronous face: [`async_front::AsyncClient::submit`] returns a
-//! [`async_front::Ticket`] without blocking, completions are harvested
-//! from a completion queue or awaited as hand-rolled futures under
-//! [`async_front::reactor`], so a single driver thread sustains thousands
-//! of in-flight requests where the synchronous [`server::Client`] needs a
-//! blocked OS thread each (`async_vs_sync` in `BENCH_serve.json`).
+//! [`async_front::Ticket`] without blocking and completions are
+//! harvested from a completion queue, so a single driver thread sustains
+//! thousands of in-flight requests where the synchronous
+//! [`server::Client`] needs a blocked OS thread each (`async_vs_sync` in
+//! `BENCH_serve.json`). The completion queue is the only completion
+//! path: a synchronous call is a private one-slot queue.
 //!
 //! Cross-cutting both layers sits [`trace`] — the observability
 //! substrate: request-lifecycle [`trace::TraceEvent`]s (Submit → Admit →
 //! Enqueue → PolicyPick → BatchStart/End → Complete, plus per-reason
 //! sheds and pool task spans) recorded into per-thread ring buffers
 //! behind a `SERVE_TRACE` gate whose disabled path is one branch;
-//! always-on per-stage latency [`trace::Histogram`]s (queue wait /
-//! service / delivery) in every [`stats::StatsSnapshot`]; and two export
+//! always-on end-to-end and per-stage latency [`trace::Histogram`]s
+//! (queue wait / service / delivery) behind every
+//! [`stats::StatsSnapshot`]; and two export
 //! faces — [`trace::export_chrome`] (Chrome trace-event JSON, Perfetto-
 //! loadable) and [`server::Server::metrics_text`] (Prometheus text
 //! exposition).
@@ -88,7 +91,7 @@ pub mod stats;
 pub mod test_support;
 pub mod trace;
 
-pub use async_front::{reactor, AsyncClient, Completion, InferFuture, Ticket};
+pub use async_front::{AsyncClient, Completion, Ticket};
 pub use faults::{FaultPlan, FaultStats};
 pub use net::{
     Frame, FrameParser, NetClient, NetConfig, NetServer, NetStatsSnapshot, RequestFrame,
@@ -99,7 +102,6 @@ pub use pool::{par_map_pooled, Pool};
 pub use sched::{DueEntry, Fifo, SchedPolicy, StrictPriority, WeightedFair};
 pub use server::{AdmissionPolicy, BatchPolicy, Client, ScenarioSpec, ServeError, Server};
 pub use stats::{
-    percentile, Reservoir, ReservoirSnapshot, StageHistograms, StageSummary, StatsCollector,
-    StatsSnapshot,
+    percentile, BatchSizeStats, StageHistograms, StageSummary, StatsCollector, StatsSnapshot,
 };
 pub use trace::{Histogram, ShedReason, TraceEvent, TraceRecord, TraceStats};

@@ -89,14 +89,14 @@ pub struct Overload {
 
 /// Evaluates the predictive admission gate for one registration.
 ///
-/// * `service` — `(batches completed, mean batch service seconds)` from
-///   [`StatsCollector::service_rate`](crate::stats::StatsCollector::service_rate)
+/// * `service` — `(requests served, mean batch service seconds)` from
+///   [`StatsCollector::admission_rates`](crate::stats::StatsCollector::admission_rates)
 ///   (the service histogram records one sample per *request*, but every
 ///   request of a batch records the same batch wall time, so its mean
 ///   is the mean batch service time).
 /// * `batches` — `(dispatch count, total requests dispatched)` from the
-///   registration's batch-size reservoir; their ratio is the mean batch
-///   size the dispatcher has been achieving.
+///   same call; their ratio is the mean batch size the dispatcher has
+///   been achieving.
 /// * `outstanding` — accepted-but-unfulfilled requests ahead of the
 ///   candidate (queued or already dispatched).
 /// * `budget` — the registration's deadline budget.

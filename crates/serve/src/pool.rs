@@ -639,15 +639,8 @@ impl Pool {
     }
 }
 
-/// The worker-thread count the global pool would use: `SERVE_THREADS`
-/// when set, else [`std::thread::available_parallelism`], clamped to
-/// `[1, 256]`. Public so alternative executors (e.g. the scoped-thread
-/// baseline kept in `dnn::data`) can follow the same convention and be
-/// compared apples-to-apples.
-pub fn configured_threads() -> usize {
-    default_threads()
-}
-
+/// The global pool's worker-thread count: `SERVE_THREADS` when set, else
+/// [`std::thread::available_parallelism`], clamped to `[1, 256]`.
 fn default_threads() -> usize {
     std::env::var("SERVE_THREADS")
         .ok()

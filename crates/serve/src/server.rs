@@ -36,9 +36,9 @@
 //! threads, not from inside pool tasks. For thousands of in-flight
 //! requests from one thread, use the asynchronous front-end instead
 //! ([`Server::async_client`] → [`crate::async_front`]): both faces share
-//! the queues, the scheduling policy and the statistics — they differ
-//! only in how a finished response reaches the caller (condvar slot vs
-//! completion queue / future).
+//! the queues, the scheduling policy, the statistics and the completion
+//! path — a synchronous call is a private one-slot completion queue that
+//! its caller waits on.
 //!
 //! ## Admission control and deadlines
 //!
@@ -58,10 +58,10 @@
 //! predictor math lives in [`crate::overload`]). The shed reasons are
 //! counted separately in [`StatsSnapshot`].
 
-use crate::async_front::AsyncClient;
+use crate::async_front::{AsyncClient, CqShared};
 use crate::pool::Pool;
 use crate::sched::{DueEntry, Fifo, SchedPolicy};
-use crate::stats::{Reservoir, ReservoirSnapshot, StageHistograms, StatsCollector, StatsSnapshot};
+use crate::stats::{BatchSizeStats, StageHistograms, StatsCollector, StatsSnapshot};
 use crate::trace::{self, ShedReason, TraceEvent};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -465,61 +465,6 @@ impl ScenarioSpec {
     }
 }
 
-/// One-shot response cell a blocked client waits on.
-pub(crate) struct Slot<O> {
-    cell: Mutex<Option<Result<O, ServeError>>>,
-    ready: Condvar,
-}
-
-impl<O> Slot<O> {
-    fn new() -> Self {
-        Slot {
-            cell: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn fulfill(&self, r: Result<O, ServeError>) {
-        *self.cell.lock().expect("slot poisoned") = Some(r);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Result<O, ServeError> {
-        let mut guard = self.cell.lock().expect("slot poisoned");
-        loop {
-            if let Some(r) = guard.take() {
-                return r;
-            }
-            guard = self.ready.wait(guard).expect("slot poisoned");
-        }
-    }
-}
-
-/// How a finished response reaches its submitter — the one point where
-/// the synchronous and asynchronous front-ends diverge. The scheduler and
-/// dispatch path are completer-agnostic: they fulfill whatever completer
-/// rode in with the request.
-pub(crate) enum Completer<O> {
-    /// Synchronous [`Client::infer`]: wake the condvar the caller blocks
-    /// on.
-    Sync(Arc<Slot<O>>),
-    /// Asynchronous ticket: push onto the submitter's completion queue.
-    Queue(Arc<crate::async_front::CqShared<O>>),
-    /// Hand-rolled future: store the result and wake the task's waker.
-    Future(Arc<crate::async_front::FutShared<O>>),
-}
-
-impl<O> Completer<O> {
-    /// Delivers the response for request `id`.
-    fn fulfill(&self, id: u64, r: Result<O, ServeError>) {
-        match self {
-            Completer::Sync(slot) => slot.fulfill(r),
-            Completer::Queue(cq) => cq.complete(id, r),
-            Completer::Future(fut) => fut.complete(r),
-        }
-    }
-}
-
 /// A drained run of queued requests (an expired prefix or a micro-batch).
 type Drained<I, O> = Vec<Pending<I, O>>;
 
@@ -529,7 +474,8 @@ struct Pending<I, O> {
     id: u64,
     input: I,
     enqueued: Instant,
-    completer: Completer<O>,
+    /// The submitter's completion queue.
+    cq: Arc<CqShared<O>>,
 }
 
 /// Process-wide request id source (ids are unique across servers, so a
@@ -577,11 +523,6 @@ pub(crate) struct Registration<I, O> {
     outstanding: AtomicUsize,
     queue: Mutex<Vec<Pending<I, O>>>,
     stats: StatsCollector,
-    /// Batch sizes dispatched (diagnostics; lets tests assert the
-    /// batching policy without instrumenting the inference function).
-    /// A thinning [`Reservoir`] — bounded memory on long-running
-    /// servers, exact count/sum throughout.
-    batch_sizes: Reservoir,
 }
 
 impl<I, O> Registration<I, O> {
@@ -691,12 +632,12 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
     /// both front-ends share. Applies admission control (sheds with
     /// [`ServeError::Rejected`] at the queue cap), wakes the scheduler,
     /// and closes the shutdown/deregistration races; returns the request
-    /// id whose completer will be fulfilled.
+    /// id that will be fulfilled on `cq`.
     pub(crate) fn submit_to(
         &self,
         reg: &Arc<Registration<I, O>>,
         input: I,
-        completer: Completer<O>,
+        cq: &Arc<CqShared<O>>,
     ) -> Result<u64, ServeError> {
         // ordering: Acquire; pairs with shutdown()'s Release store
         if self.shutdown.load(Ordering::Acquire) {
@@ -728,9 +669,10 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
         if reg.predictive {
             if let Some(budget) = reg.deadline {
                 let depth = reg.outstanding.load(Ordering::Acquire); // ordering: Acquire to see the freshest depth; the forecast is advisory either way
+                let (service, batches) = reg.stats.admission_rates();
                 if let Some(ov) = crate::overload::assess(
-                    reg.stats.service_rate(),
-                    reg.batch_sizes.totals(),
+                    service,
+                    batches,
                     depth,
                     budget,
                     crate::overload::safety_factor(),
@@ -782,7 +724,7 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
                 id,
                 input,
                 enqueued: Instant::now(),
-                completer,
+                cq: Arc::clone(cq),
             });
             q.len()
         };
@@ -806,7 +748,7 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
         // by the draining pass (both sides go through the queue mutex),
         // so it suffices to withdraw our own entry when a flag is set
         // now; if it is no longer queued it was drained (into a batch or
-        // by the final sweep) and its completer will be fulfilled.
+        // by the final sweep) and it will be fulfilled.
         // ordering: the Acquire flag loads pair with the Release stores in shutdown()/deregister.
         let shutting_down = self.shutdown.load(Ordering::Acquire);
         if shutting_down || reg.closed.load(Ordering::Acquire) {
@@ -883,7 +825,7 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
                         reason: ShedReason::Deadline,
                     },
                 );
-                p.completer.fulfill(
+                p.cq.fulfill(
                     p.id,
                     Err(ServeError::DeadlineExpired {
                         model: reg.key.0.clone(),
@@ -898,7 +840,7 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
             return (n_exp, None);
         };
         let n = batch.len();
-        reg.batch_sizes.record(n as f64);
+        reg.stats.record_batch(n);
         // Most-urgent-class batches ride the pool's high lane: they jump
         // the injector backlog and are the only server batches reserved
         // workers ([`Pool::with_reserved`]) execute, so a long run of
@@ -916,10 +858,11 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
         let signal = Arc::clone(&self.signal);
         let task = move || {
             let mut owned: Vec<I> = Vec::with_capacity(batch.len());
-            let mut waiters: Vec<(u64, Instant, Completer<O>)> = Vec::with_capacity(batch.len());
+            let mut waiters: Vec<(u64, Instant, Arc<CqShared<O>>)> =
+                Vec::with_capacity(batch.len());
             for p in batch {
                 owned.push(p.input);
-                waiters.push((p.id, p.enqueued, p.completer));
+                waiters.push((p.id, p.enqueued, p.cq));
             }
             let started = Instant::now();
             trace::record(
@@ -954,13 +897,17 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
                 },
             );
             let fulfilled = waiters.len();
-            match result {
-                Ok(outputs) if outputs.len() == owned.len() => {
-                    for ((id, enqueued, completer), out) in waiters.into_iter().zip(outputs) {
+            let mut outputs = match result {
+                Ok(outputs) if outputs.len() == owned.len() => Some(outputs.into_iter()),
+                _ => None,
+            };
+            for (id, enqueued, cq) in waiters {
+                let r = match outputs.as_mut().and_then(Iterator::next) {
+                    Some(out) => {
                         // All three stages are cut from shared instants,
                         // so total == queue_wait + service + delivery to
                         // the nanosecond. Delivery grows down the fan-out
-                        // loop: it prices sequential completer handoff.
+                        // loop: it prices sequential handoff.
                         let now = Instant::now();
                         let queue_wait = started.saturating_duration_since(enqueued);
                         let delivery = now.saturating_duration_since(infer_done);
@@ -968,14 +915,11 @@ impl<I: Send + 'static, O: Send + 'static> Inner<I, O> {
                         reg.stats
                             .record_request(total, queue_wait, service, delivery);
                         trace::record(id, reg.seq, TraceEvent::Complete);
-                        completer.fulfill(id, Ok(out));
+                        Ok(out)
                     }
-                }
-                _ => {
-                    for (id, _, completer) in waiters {
-                        completer.fulfill(id, Err(ServeError::InferenceFailed));
-                    }
-                }
+                    None => Err(ServeError::InferenceFailed),
+                };
+                cq.fulfill(id, r);
             }
             // Release the admission slots only after delivery, so the cap
             // is never momentarily exceeded.
@@ -1251,7 +1195,6 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
                 outstanding: AtomicUsize::new(0),
                 queue: Mutex::new(Vec::new()),
                 stats: StatsCollector::default(),
-                batch_sizes: Reservoir::default(),
             }),
         );
         Ok(())
@@ -1301,7 +1244,7 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
                     reason: ShedReason::Deregistered,
                 },
             );
-            p.completer.fulfill(
+            p.cq.fulfill(
                 p.id,
                 Err(ServeError::Deregistered {
                     model: model.to_string(),
@@ -1382,8 +1325,9 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
 
     /// Latency statistics aggregated **per priority class**, ascending
     /// (class 0 — the most urgent — first): counts and shed counters sum
-    /// across the registrations of a class, percentiles are computed over
-    /// the union of their samples. The surface for "is my high class
+    /// across the registrations of a class, and percentiles come from the
+    /// merged histograms (exactly those of one registration fed the whole
+    /// class's traffic). The surface for "is my high class
     /// actually faster" questions under
     /// [`StrictPriority`](crate::sched::StrictPriority).
     pub fn stats_by_class(&self) -> Vec<(u8, StatsSnapshot)> {
@@ -1400,25 +1344,16 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
         out
     }
 
-    /// Sizes of the batches dispatched so far for one registration
-    /// (`None` if unknown). Diagnostic surface for policy verification;
-    /// beyond ~65k dispatches the log thins (see
-    /// [`Server::batch_size_stats`] for exact count/mean throughout).
-    pub fn batch_sizes(&self, model: &str, scenario: &str) -> Option<Vec<usize>> {
-        self.batch_size_stats(model, scenario)
-            .map(|snap| snap.samples.iter().map(|&s| s as usize).collect())
-    }
-
-    /// Exact dispatch count and batch-size sum/mean for one registration
-    /// (`None` if unknown) — unaffected by sample thinning.
-    pub fn batch_size_stats(&self, model: &str, scenario: &str) -> Option<ReservoirSnapshot> {
+    /// Batch-size totals (dispatch count, requests dispatched, largest
+    /// batch) for one registration (`None` if unknown).
+    pub fn batch_size_stats(&self, model: &str, scenario: &str) -> Option<BatchSizeStats> {
         let key = (model.to_string(), scenario.to_string());
         self.inner
             .registry
             .read()
             .expect("registry poisoned")
             .get(&key)
-            .map(|r| r.batch_sizes.snapshot())
+            .map(|r| r.stats.batch_sizes())
     }
 
     /// Renders every serving counter and histogram in Prometheus text
@@ -1431,8 +1366,7 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
     ///   `serve_shed_total{reason="cap"|"deadline"|"predicted"}`,
     ///   `serve_passed_over_total`, `serve_batches_total`,
     ///   `serve_max_queue_depth` and the end-to-end
-    ///   `serve_latency_seconds` summary (`_sum`/`_count`, exact under
-    ///   reservoir thinning);
+    ///   `serve_latency_seconds` summary (exact `_sum`/`_count`);
     /// * `serve_stage_latency_seconds` — one histogram series per
     ///   registration and `stage` (`queue_wait` | `service` |
     ///   `delivery`), with cumulative `_bucket{le=...}` lines at
@@ -1456,7 +1390,7 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
         struct Row {
             labels: String,
             snap: StatsSnapshot,
-            batches: ReservoirSnapshot,
+            batches: BatchSizeStats,
             stages: StageHistograms,
         }
         let mut regs: Vec<Arc<Registration<I, O>>> = self
@@ -1473,7 +1407,7 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
             .map(|r| Row {
                 labels: format!("model=\"{}\",scenario=\"{}\"", esc(&r.key.0), esc(&r.key.1)),
                 snap: r.stats.snapshot(),
-                batches: r.batch_sizes.snapshot(),
+                batches: r.stats.batch_sizes(),
                 stages: r.stats.stages(),
             })
             .collect();
@@ -1747,7 +1681,7 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
                         reason: ShedReason::Shutdown,
                     },
                 );
-                p.completer.fulfill(p.id, Err(ServeError::ShuttingDown));
+                p.cq.fulfill(p.id, Err(ServeError::ShuttingDown));
             }
             reg.outstanding.fetch_sub(stranded.len(), Ordering::AcqRel); // ordering: AcqRel slot release; pairs with the admission gate's fetch_update
         }
@@ -1821,11 +1755,13 @@ impl<I: Send + 'static, O: Send + 'static> Client<I, O> {
     /// [`ServeError::ShuttingDown`] once shutdown began, and
     /// [`ServeError::InferenceFailed`] if the batch function misbehaved.
     pub fn infer(&self, model: &str, scenario: &str, input: I) -> Result<O, ServeError> {
-        let reg = self.inner.lookup(model, scenario)?;
-        let slot = Arc::new(Slot::new());
-        self.inner
-            .submit_to(&reg, input, Completer::Sync(Arc::clone(&slot)))?;
-        slot.wait()
+        // A private one-slot completion queue: the same path as the async
+        // face, with an untimed wait for its single completion.
+        let cq = AsyncClient::new(Arc::clone(&self.inner));
+        cq.submit(model, scenario, input)?;
+        cq.wait_until(None)
+            .expect("an untimed wait returns a completion")
+            .result
     }
 }
 
@@ -1881,19 +1817,14 @@ mod tests {
             })
             .unwrap();
         let _ = fire(&server, "m", "s", 23);
-        let sizes = server.batch_sizes("m", "s").unwrap();
-        assert_eq!(sizes.iter().sum::<usize>(), 23);
+        let sizes = server.batch_size_stats("m", "s").unwrap();
+        assert_eq!(sizes.sum, 23.0);
+        assert!(sizes.max <= 4, "batch exceeded max_batch: {sizes:?}");
         assert!(
-            sizes.iter().all(|&s| s <= 4),
-            "batch exceeded max_batch: {sizes:?}"
-        );
-        assert!(
-            sizes.iter().any(|&s| s > 1),
+            sizes.max > 1,
             "burst of 23 should produce at least one multi-request batch: {sizes:?}"
         );
-        let snap = server.batch_size_stats("m", "s").unwrap();
-        assert_eq!(snap.count as usize, sizes.len());
-        assert_eq!(snap.sum as usize, 23);
+        assert!(sizes.count >= 6, "23 requests need at least 6 batches of 4");
     }
 
     #[test]
@@ -1908,10 +1839,10 @@ mod tests {
             })
             .unwrap();
         let _ = fire(&server, "m", "s", 11);
-        let sizes = server.batch_sizes("m", "s").unwrap();
-        assert_eq!(sizes.iter().sum::<usize>(), 11);
+        let sizes = server.batch_size_stats("m", "s").unwrap();
+        assert_eq!(sizes.sum, 11.0);
         assert!(
-            sizes.iter().all(|&s| s <= 2),
+            sizes.max <= 2,
             "spec max_batch must override the server default: {sizes:?}"
         );
         let spec = server.spec("m", "s").unwrap();
@@ -1954,7 +1885,8 @@ mod tests {
             waited < Duration::from_secs(2),
             "partial batch never flushed: {waited:?}"
         );
-        assert_eq!(server.batch_sizes("m", "s").unwrap(), vec![1]);
+        let sizes = server.batch_size_stats("m", "s").unwrap();
+        assert!(sizes.count == 1 && sizes.sum == 1.0, "{sizes:?}");
     }
 
     #[test]

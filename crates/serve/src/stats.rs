@@ -1,123 +1,47 @@
 //! Latency/throughput accounting for the batch server.
 //!
 //! Each `(model, scenario)` registration owns one [`StatsCollector`]; the
-//! dispatcher records a sample per request (enqueue → response, i.e. queue
-//! wait plus batch execution). Snapshots expose count, mean and p50/p99
-//! tail latency plus the backpressure counters the admission-control and
-//! scheduling layers feed: accepted submissions, requests shed **per
-//! reason** (queue cap vs expired deadline vs predicted overload), the
-//! queue-depth high-water mark, and the scheduler's pass-over
-//! (starvation) counter — the numbers `BENCH_serve.json` reports.
+//! dispatcher records every completed request (enqueue → response, i.e.
+//! queue wait plus batch execution) and every dispatched batch size.
+//! Snapshots expose count, mean and p50/p99 tail latency plus the
+//! backpressure counters the admission-control and scheduling layers
+//! feed: accepted submissions, requests shed **per reason** (queue cap vs
+//! expired deadline vs predicted overload), the queue-depth high-water
+//! mark, and the scheduler's pass-over (starvation) counter — the
+//! numbers `BENCH_serve.json` reports.
 //!
-//! The bounded-memory sample store is factored out as [`Reservoir`]: an
-//! exact count/sum plus a thinning sample vector. The latency collector
-//! and the server's per-registration batch-size diagnostics share it, so
-//! nothing in the serving stack grows memory per request.
+//! ## One latency store
 //!
-//! ## Stage breakdowns
-//!
-//! Alongside the end-to-end reservoir, each collector keeps three
-//! **log-linear [`Histogram`]s** splitting every completed request's
-//! latency into *queue wait* (enqueue → batch start), *service* (the
-//! batch function) and *delivery* (batch end → completer handoff).
-//! Histogram quantiles are computed over **exact** counts — every request
-//! lands in a bucket forever — so they complement the reservoir's
-//! sampled percentiles; see the sampling-error note below.
-//!
-//! ## Reservoir sampling-error bounds
-//!
-//! The thinning reservoir keeps every `2^k`-th sample once traffic
-//! exceeds `MAX_SAMPLES`·`2^(k-1)`, so percentile estimates are
-//! nearest-rank statistics over `m ∈ [32768, 65536)` retained samples.
-//! Two error terms apply:
-//!
-//! * **Rank noise.** A systematic subsample of size `m` estimates the
-//!   `q`-quantile with rank standard error `≈ sqrt(q(1-q)/m)`; at
-//!   `m = 32768` that is ~0.27 rank-% for p50 and ~0.05 rank-% for p99.
-//!   How much *value* error that implies depends on the local density of
-//!   the latency distribution — flat tails amplify it.
-//! * **Periodicity bias.** Thinning is deterministic (every `2^k`-th),
-//!   so a workload whose latencies cycle with a period sharing a factor
-//!   with `2^k` can bias the subsample. Real latency streams are noisy
-//!   enough that this does not occur in practice, and the exact-count
-//!   histograms (`relative error ≤ 1/32` by bucket width) are the
-//!   cross-check: `reservoir_percentiles_track_exact_histogram` below
-//!   holds the two within their combined error budget.
-//!
-//! Count, sum and therefore the mean are exact forever under thinning;
-//! only the percentile *samples* are subsampled.
+//! Every latency lives in a **log-linear [`Histogram`]**: one for the
+//! end-to-end latency and three splitting it into *queue wait* (enqueue
+//! → batch start), *service* (the batch function) and *delivery* (batch
+//! end → completion-queue handoff). Every request lands in a bucket
+//! forever, so counts and sums are exact, quantiles are bucket midpoints
+//! within [`Histogram::RELATIVE_ERROR`] of the true order statistic, and
+//! memory is a fixed ~15 KiB per histogram however much traffic passes.
+//! Merging collectors (the per-priority-class aggregate) adds bucket
+//! counts, so a merged quantile is exactly the quantile of one
+//! histogram fed every request. Batch sizes keep only count, sum and
+//! max ([`BatchSizeStats`]).
 
 use crate::trace::Histogram;
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Samples kept per reservoir before thinning kicks in: beyond this,
-/// every second sample is dropped and subsequent samples are recorded at
-/// half the rate (repeatedly, so memory stays bounded at ~`MAX_SAMPLES`
-/// regardless of traffic volume).
-const MAX_SAMPLES: usize = 1 << 16;
-
-/// A bounded-memory sample accumulator: exact `count`/`sum` over every
-/// recorded value, plus a thinning reservoir of retained samples for
-/// percentile estimates. Once `MAX_SAMPLES` samples are retained, every
-/// second one is dropped and the retention rate halves — memory stays
-/// bounded forever while count, sum (and therefore mean) remain exact.
-#[derive(Default, Debug)]
-struct ReservoirState {
-    samples: Vec<f64>,
-    /// Record every `2^thin_shift`-th sample (doubles at each thinning).
-    thin_shift: u32,
-    seen_since_kept: u64,
-    count: u64,
-    sum: f64,
-}
-
-impl ReservoirState {
-    fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.seen_since_kept += 1;
-        if self.seen_since_kept >= (1u64 << self.thin_shift) {
-            self.seen_since_kept = 0;
-            self.samples.push(value);
-            if self.samples.len() >= MAX_SAMPLES {
-                // Thin: keep every second retained sample, halve the
-                // future retention rate.
-                let mut keep = false;
-                self.samples.retain(|_| {
-                    keep = !keep;
-                    keep
-                });
-                self.thin_shift += 1;
-            }
-        }
-    }
-}
-
-/// Thread-safe bounded-memory sample log: exact count/sum plus a
-/// thinning sample store (beyond ~65k retained samples, every second one
-/// is dropped and the retention rate halves). Used for per-registration
-/// batch-size diagnostics; the latency side of [`StatsCollector`] embeds
-/// the same state machine.
-#[derive(Default, Debug)]
-pub struct Reservoir {
-    state: Mutex<ReservoirState>,
-}
-
-/// Point-in-time copy of a [`Reservoir`]: exact count and sum, plus the
-/// retained (possibly thinned) samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReservoirSnapshot {
-    /// Values recorded (all of them, independent of sample thinning).
+/// Exact batch-size totals of one registration: how many batches were
+/// dispatched, how many requests they carried, and the largest one.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BatchSizeStats {
+    /// Batches dispatched.
     pub count: u64,
-    /// Exact sum over all recorded values.
+    /// Requests dispatched across all batches.
     pub sum: f64,
-    /// Retained samples (every value until thinning kicks in at ~65k).
-    pub samples: Vec<f64>,
+    /// Largest batch dispatched (0 before the first).
+    pub max: usize,
 }
 
-impl ReservoirSnapshot {
-    /// Exact mean over **all** recorded values (0.0 if none).
+impl BatchSizeStats {
+    /// Mean dispatched batch size (0.0 before the first batch).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -125,30 +49,11 @@ impl ReservoirSnapshot {
             self.sum / self.count as f64
         }
     }
-}
 
-impl Reservoir {
-    /// Records one value.
-    pub fn record(&self, value: f64) {
-        self.state.lock().expect("reservoir poisoned").record(value);
-    }
-
-    /// Exact count and sum without cloning the retained samples — the
-    /// cheap accessor for hot paths (the overload predictor's
-    /// mean-batch-size estimate) that only need the mean.
-    pub fn totals(&self) -> (u64, f64) {
-        let st = self.state.lock().expect("reservoir poisoned");
-        (st.count, st.sum)
-    }
-
-    /// Copies out the current count/sum/samples.
-    pub fn snapshot(&self) -> ReservoirSnapshot {
-        let st = self.state.lock().expect("reservoir poisoned");
-        ReservoirSnapshot {
-            count: st.count,
-            sum: st.sum,
-            samples: st.samples.clone(),
-        }
+    fn record(&mut self, n: usize) {
+        self.count += 1;
+        self.sum += n as f64;
+        self.max = self.max.max(n);
     }
 }
 
@@ -198,13 +103,15 @@ impl StageSummary {
 /// Point-in-time summary of one registration's latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatsSnapshot {
-    /// Requests completed (all of them, independent of sample thinning).
+    /// Requests completed (exact).
     pub count: u64,
-    /// Mean latency in seconds (over all completed requests).
+    /// Mean end-to-end latency in seconds (exact).
     pub mean_s: f64,
-    /// Median latency in seconds (over retained samples).
+    /// Median end-to-end latency in seconds (bucket-midpoint estimate,
+    /// within [`Histogram::RELATIVE_ERROR`]).
     pub p50_s: f64,
-    /// 99th-percentile latency in seconds (over retained samples).
+    /// 99th-percentile end-to-end latency in seconds (bucket-midpoint
+    /// estimate, within [`Histogram::RELATIVE_ERROR`]).
     pub p99_s: f64,
     /// Requests admitted into the queue (accepted submissions).
     pub submitted: u64,
@@ -238,7 +145,7 @@ pub struct StatsSnapshot {
     /// Batch-function wall time breakdown (exact-count histogram). Every
     /// request in a batch records the same service time.
     pub service: StageSummary,
-    /// Batch-end → completer-handoff latency breakdown (exact-count
+    /// Batch-end → completion-queue handoff latency breakdown (exact-count
     /// histogram): fan-out cost of delivering each response in turn.
     pub delivery: StageSummary,
 }
@@ -272,10 +179,11 @@ impl StatsSnapshot {
 
 #[derive(Default)]
 struct StatsState {
-    latency: ReservoirState,
+    latency: Histogram,
     queue_wait: Histogram,
     service: Histogram,
     delivery: Histogram,
+    batches: BatchSizeStats,
     submitted: u64,
     shed: u64,
     shed_deadline: u64,
@@ -285,18 +193,12 @@ struct StatsState {
 }
 
 impl StatsState {
-    fn snapshot_with(&self, sorted_samples: Vec<f64>) -> StatsSnapshot {
-        let mut sorted = sorted_samples;
-        sorted.sort_by(f64::total_cmp);
+    fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            count: self.latency.count,
-            mean_s: if self.latency.count == 0 {
-                0.0
-            } else {
-                self.latency.sum / self.latency.count as f64
-            },
-            p50_s: percentile(&sorted, 50.0),
-            p99_s: percentile(&sorted, 99.0),
+            count: self.latency.count(),
+            mean_s: self.latency.mean_s(),
+            p50_s: self.latency.quantile(50.0),
+            p99_s: self.latency.quantile(99.0),
             submitted: self.submitted,
             shed: self.shed,
             shed_deadline: self.shed_deadline,
@@ -319,32 +221,22 @@ pub struct StageHistograms {
     pub queue_wait: Histogram,
     /// Batch-function wall time.
     pub service: Histogram,
-    /// Batch-end → completer handoff.
+    /// Batch-end → completion-queue handoff.
     pub delivery: Histogram,
 }
 
-/// Thread-safe latency accumulator with bounded memory.
+/// Thread-safe latency and batch-size accumulator with fixed memory.
 #[derive(Default)]
 pub struct StatsCollector {
     state: Mutex<StatsState>,
 }
 
 impl StatsCollector {
-    /// Records one completed request's latency.
-    pub fn record(&self, latency: Duration) {
-        self.state
-            .lock()
-            .expect("stats poisoned")
-            .latency
-            .record(latency.as_secs_f64());
-    }
-
     /// Records one completed request with its full stage breakdown —
-    /// end-to-end `total` into the reservoir plus `queue_wait` /
-    /// `service` / `delivery` into the exact-count stage histograms, all
-    /// under one lock acquisition. The dispatcher measures the stages
-    /// from shared instants, so `total = queue_wait + service + delivery`
-    /// up to nanosecond rounding.
+    /// end-to-end `total` plus `queue_wait` / `service` / `delivery` into
+    /// their histograms, all under one lock acquisition. The dispatcher
+    /// measures the stages from shared instants, so `total = queue_wait
+    /// + service + delivery` to the nanosecond.
     pub fn record_request(
         &self,
         total: Duration,
@@ -353,10 +245,20 @@ impl StatsCollector {
         delivery: Duration,
     ) {
         let mut st = self.state.lock().expect("stats poisoned");
-        st.latency.record(total.as_secs_f64());
+        st.latency.record(total);
         st.queue_wait.record(queue_wait);
         st.service.record(service);
         st.delivery.record(delivery);
+    }
+
+    /// Records one dispatched batch of `n` requests.
+    pub fn record_batch(&self, n: usize) {
+        self.state.lock().expect("stats poisoned").batches.record(n);
+    }
+
+    /// Batch-size totals recorded so far.
+    pub fn batch_sizes(&self) -> BatchSizeStats {
+        self.state.lock().expect("stats poisoned").batches
     }
 
     /// Clones out the three stage histograms (full distributions; see
@@ -396,15 +298,18 @@ impl StatsCollector {
         self.state.lock().expect("stats poisoned").shed_predicted += 1;
     }
 
-    /// Exact count and mean (seconds) of the **service**-stage histogram
-    /// under one lock acquisition — the cheap accessor the predictive
-    /// admission gate polls on every submit. Cloning the full
+    /// The predictive admission gate's inputs under one lock acquisition:
+    /// `(requests served, mean service seconds)` of the service-stage
+    /// histogram and `(batches dispatched, requests dispatched)` — the
+    /// scalars [`crate::overload::assess`] takes. Cloning the full
     /// distributions via [`StatsCollector::stages`] copies three ~15 KiB
-    /// bucket tables and is far too heavy for the submit hot path; this
-    /// reads two scalars.
-    pub fn service_rate(&self) -> (u64, f64) {
+    /// bucket tables and is far too heavy for the submit hot path.
+    pub fn admission_rates(&self) -> ((u64, f64), (u64, f64)) {
         let st = self.state.lock().expect("stats poisoned");
-        (st.service.count(), st.service.mean_s())
+        (
+            (st.service.count(), st.service.mean_s()),
+            (st.batches.count, st.batches.sum),
+        )
     }
 
     /// Records one scheduling round in which this registration had a due
@@ -413,45 +318,33 @@ impl StatsCollector {
         self.state.lock().expect("stats poisoned").passed_over += 1;
     }
 
-    /// Summarizes the samples recorded so far.
+    /// Summarizes everything recorded so far.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let st = self.state.lock().expect("stats poisoned");
-        let samples = st.latency.samples.clone();
-        st.snapshot_with(samples)
+        self.state.lock().expect("stats poisoned").snapshot()
     }
 
     /// Merges several collectors into one snapshot: counts and sheds sum,
-    /// the depth high-water mark is the max, and percentiles are computed
-    /// over the union of every collector's retained samples **weighted by
-    /// each collector's thinning rate** (a sample retained at thin shift
-    /// `k` stands for `2^k` requests) — so a heavily-thinned high-traffic
-    /// registration is not drowned out by a low-traffic one's denser
-    /// samples. This is how the server aggregates **per-priority-class**
-    /// latency across the registrations sharing a class.
+    /// the depth high-water mark is the max, and every histogram adds its
+    /// buckets — so the merged percentiles are exactly those of one
+    /// collector fed every request. This is how the server aggregates
+    /// **per-priority-class** latency across the registrations sharing a
+    /// class.
     pub fn merged<'a>(collectors: impl IntoIterator<Item = &'a StatsCollector>) -> StatsSnapshot {
         let mut acc = StatsState::default();
-        let mut weighted: Vec<(f64, u64)> = Vec::new();
         for c in collectors {
             let st = c.state.lock().expect("stats poisoned");
-            acc.latency.count += st.latency.count;
-            acc.latency.sum += st.latency.sum;
+            acc.latency.merge(&st.latency);
+            acc.queue_wait.merge(&st.queue_wait);
+            acc.service.merge(&st.service);
+            acc.delivery.merge(&st.delivery);
             acc.submitted += st.submitted;
             acc.shed += st.shed;
             acc.shed_deadline += st.shed_deadline;
             acc.shed_predicted += st.shed_predicted;
             acc.passed_over += st.passed_over;
             acc.max_queue_depth = acc.max_queue_depth.max(st.max_queue_depth);
-            acc.queue_wait.merge(&st.queue_wait);
-            acc.service.merge(&st.service);
-            acc.delivery.merge(&st.delivery);
-            let w = 1u64 << st.latency.thin_shift;
-            weighted.extend(st.latency.samples.iter().map(|&v| (v, w)));
         }
-        weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut snap = acc.snapshot_with(Vec::new());
-        snap.p50_s = weighted_percentile(&weighted, 50.0);
-        snap.p99_s = weighted_percentile(&weighted, 99.0);
-        snap
+        acc.snapshot()
     }
 }
 
@@ -469,8 +362,7 @@ impl std::fmt::Debug for StatsCollector {
 /// element with at least `q`% of the data at or below it. Monotone in `q`
 /// by construction; returns 0.0 on an empty slice.
 ///
-/// Edge cases (audited against the exact-histogram cross-check): `q`
-/// outside `[0, 100]` clamps; `q = 0` returns the minimum (the rank
+/// Edge cases: `q` outside `[0, 100]` clamps; `q = 0` returns the minimum (the rank
 /// floor is 1); `q = 100` returns the maximum; a single-sample slice
 /// returns that sample at every `q`.
 ///
@@ -486,31 +378,14 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
-/// Nearest-rank percentile over **ascending-sorted** `(value, weight)`
-/// pairs: the smallest value whose cumulative weight reaches `q`% of the
-/// total weight. With all weights 1 this is exactly [`percentile`];
-/// [`StatsCollector::merged`] uses it to combine reservoirs thinned at
-/// different rates without biasing toward the denser one.
-fn weighted_percentile(sorted: &[(f64, u64)], q: f64) -> f64 {
-    let total: u64 = sorted.iter().map(|&(_, w)| w).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let q = q.clamp(0.0, 100.0);
-    let rank = (((q / 100.0) * total as f64).ceil() as u64).clamp(1, total);
-    let mut cum = 0u64;
-    for &(v, w) in sorted {
-        cum += w;
-        if cum >= rank {
-            return v;
-        }
-    }
-    sorted.last().map_or(0.0, |&(v, _)| v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records one request whose whole latency is queue wait.
+    fn record(c: &StatsCollector, d: Duration) {
+        c.record_request(d, d, Duration::ZERO, Duration::ZERO);
+    }
 
     #[test]
     fn percentile_is_monotone_and_bounded() {
@@ -533,13 +408,16 @@ mod tests {
     fn snapshot_reports_mean_and_tails() {
         let c = StatsCollector::default();
         for ms in [1u64, 2, 3, 4, 5, 6, 7, 8, 9, 100] {
-            c.record(Duration::from_millis(ms));
+            record(&c, Duration::from_millis(ms));
         }
         let s = c.snapshot();
         assert_eq!(s.count, 10);
         assert!((s.mean_s - 0.0145).abs() < 1e-9, "mean {}", s.mean_s);
         assert!(s.p50_s <= s.p99_s, "percentiles must be ordered");
-        assert!((s.p99_s - 0.1).abs() < 1e-9, "p99 captures the outlier");
+        assert!(
+            (s.p99_s - 0.1).abs() / 0.1 <= Histogram::RELATIVE_ERROR,
+            "p99 captures the outlier"
+        );
     }
 
     #[test]
@@ -572,63 +450,171 @@ mod tests {
         assert_eq!(s.mean_s, 0.0);
     }
 
+    /// Volume never costs memory or count: past 2^17 requests (where the
+    /// earlier sampling store thinned its samples) the latency table
+    /// keeps its construction-time size and the count stays exact.
     #[test]
     fn thinning_bounds_memory_but_keeps_count() {
         let c = StatsCollector::default();
-        let n = (MAX_SAMPLES * 2 + 123) as u64;
+        let table = Histogram::new().table_len();
+        let n = (1u64 << 17) + 123;
         for _ in 0..n {
-            c.record(Duration::from_micros(10));
+            record(&c, Duration::from_micros(10));
         }
         let s = c.snapshot();
         assert_eq!(s.count, n);
-        let retained = c.state.lock().unwrap().latency.samples.len();
-        assert!(retained < MAX_SAMPLES, "retained {retained}");
-        assert!((s.p50_s - 1e-5).abs() < 1e-9);
+        let st = c.state.lock().unwrap();
+        assert_eq!(st.latency.table_len(), table, "memory is fixed");
+        assert_eq!(st.queue_wait.table_len(), table);
+        drop(st);
+        assert!(
+            (s.p50_s - 1e-5).abs() / 1e-5 <= Histogram::RELATIVE_ERROR,
+            "p50 {}",
+            s.p50_s
+        );
     }
 
+    /// Volume never costs precision: past 2^17 requests the mean is
+    /// exact and p50 stays within one bucket width.
     #[test]
     fn reservoir_thins_but_mean_stays_exact() {
-        let r = Reservoir::default();
-        let n = (MAX_SAMPLES * 2 + 7) as u64;
+        let c = StatsCollector::default();
+        let n = (1u64 << 17) + 7;
         for i in 0..n {
-            r.record((i % 10) as f64);
+            record(&c, Duration::from_micros(10 + i % 10));
         }
-        let snap = r.snapshot();
-        assert_eq!(snap.count, n);
-        assert!(snap.samples.len() < MAX_SAMPLES);
-        // count/sum are exact through thinning, so the mean is too.
-        assert!((snap.mean() - 4.5).abs() < 1e-3, "mean {}", snap.mean());
+        let s = c.snapshot();
+        assert_eq!(s.count, n);
+        let exact_mean_us = (0..n).map(|i| (10 + i % 10) as f64).sum::<f64>() / n as f64;
+        assert!(
+            (s.mean_s * 1e6 - exact_mean_us).abs() < 1e-9,
+            "mean {}",
+            s.mean_s
+        );
+        assert!(
+            (s.p50_s - 14e-6).abs() / 14e-6 <= Histogram::RELATIVE_ERROR,
+            "p50 {}",
+            s.p50_s
+        );
     }
 
+    /// A merged class weights each collector by its real traffic: a
+    /// high-volume fast collector A and a slow collector B carrying under
+    /// 1% of the requests merge to a p99 at A's latency.
     #[test]
     fn merged_weights_samples_by_thinning_rate() {
-        // Collector A: high traffic, thinned (each retained sample
-        // stands for several requests). Collector B: low traffic, dense
-        // samples, much slower. B is under 1% of the real class traffic,
-        // so the merged p99 must stay at A's latency — an unweighted
-        // union would let B's denser samples fake a slow class.
         let a = StatsCollector::default();
-        let n = (MAX_SAMPLES * 2) as u64;
+        let n = 1u64 << 17;
         for _ in 0..n {
-            a.record(Duration::from_millis(1));
+            record(&a, Duration::from_millis(1));
         }
-        assert!(a.state.lock().unwrap().latency.thin_shift >= 1);
         let b = StatsCollector::default();
         for _ in 0..600 {
-            b.record(Duration::from_millis(100));
+            record(&b, Duration::from_millis(100));
         }
-        let retained_a = a.state.lock().unwrap().latency.samples.len();
-        assert!(
-            600 > retained_a / 100,
-            "test setup: B must exceed 1% of retained-but-unweighted samples"
-        );
         let m = StatsCollector::merged([&a, &b]);
         assert_eq!(m.count, n + 600);
         assert!(
-            (m.p99_s - 0.001).abs() < 1e-9,
+            (m.p99_s - 0.001).abs() / 0.001 <= Histogram::RELATIVE_ERROR,
             "p99 must track the 99%-of-traffic collector, got {}",
             m.p99_s
         );
+        // B's tail still shows in the mean, which is exact.
+        let exact_mean = (n as f64 * 0.001 + 600.0 * 0.1) / (n + 600) as f64;
+        assert!((m.mean_s - exact_mean).abs() < 1e-9, "mean {}", m.mean_s);
+    }
+
+    /// The histogram's quantiles agree with the exact nearest-rank
+    /// [`percentile`] of every recorded latency within one bucket width,
+    /// at the median, the tail and the extremes of `q`.
+    #[test]
+    fn reservoir_percentiles_track_exact_histogram() {
+        let c = StatsCollector::default();
+        // Deterministic LCG; skewed latencies in [1ms, ~33ms].
+        let mut x = 0x2545f4914f6cdd1du64;
+        let n = (1usize << 17) + 321;
+        let mut exact = Vec::with_capacity(n);
+        for _ in 0..n {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let ms = 1.0 + ((x >> 40) as f64 / (1u64 << 24) as f64).powi(3) * 32.0;
+            let d = Duration::from_secs_f64(ms / 1e3);
+            record(&c, d);
+            exact.push(d.as_secs_f64());
+        }
+        exact.sort_by(f64::total_cmp);
+        let s = c.snapshot();
+        assert_eq!(s.count, n as u64);
+        assert_eq!(s.queue_wait.count, n as u64);
+        for (est, q) in [(s.p50_s, 50.0), (s.p99_s, 99.0)] {
+            let want = percentile(&exact, q);
+            let rel = (est - want).abs() / want;
+            assert!(
+                rel <= Histogram::RELATIVE_ERROR,
+                "q={q}: histogram {est} vs exact {want} ({rel:.4} rel)"
+            );
+        }
+        let h = &c.state.lock().unwrap().latency;
+        assert!(h.quantile(0.0) <= h.quantile(100.0));
+        assert_eq!(h.max_s(), percentile(&exact, 100.0), "max is exact");
+        let lo = percentile(&exact, 0.0);
+        assert!(
+            (h.quantile(0.0) - lo).abs() / lo <= Histogram::RELATIVE_ERROR,
+            "q=0 tracks the true min"
+        );
+    }
+
+    #[test]
+    fn batch_sizes_keep_count_sum_and_max() {
+        let c = StatsCollector::default();
+        assert_eq!(c.batch_sizes(), BatchSizeStats::default());
+        assert_eq!(c.batch_sizes().mean(), 0.0);
+        for n in [4usize, 1, 7, 4] {
+            c.record_batch(n);
+        }
+        let b = c.batch_sizes();
+        assert_eq!((b.count, b.sum, b.max), (4, 16.0, 7));
+        assert_eq!(b.mean(), 4.0);
+        record(&c, Duration::from_millis(2));
+        assert_eq!(c.admission_rates(), ((1, 0.0), (4, 16.0)));
+    }
+
+    /// The per-class aggregate is exact: merging collectors with skewed
+    /// traffic gives the count, mean and quantiles of one collector fed
+    /// every request, so a low-traffic slow registration can neither
+    /// vanish from nor dominate its class.
+    #[test]
+    fn merged_matches_one_collector_fed_every_request() {
+        let parts: Vec<StatsCollector> = (0..3).map(|_| StatsCollector::default()).collect();
+        let all = StatsCollector::default();
+        // Deterministic LCG: 99.3% of traffic at 1–2 ms on collector 0,
+        // a 0.5% trickle at 100 ms on collector 1, 0.2% at 5 ms on 2.
+        let mut x = 0x2545f4914f6cdd1du64;
+        for i in 0..40_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let jitter = (x >> 44) as f64 / (1u64 << 20) as f64;
+            let (k, ms) = match i % 1000 {
+                0..=4 => (1, 100.0 + jitter),
+                5..=6 => (2, 5.0 + jitter),
+                _ => (0, 1.0 + jitter),
+            };
+            let d = Duration::from_secs_f64(ms / 1e3);
+            record(&parts[k], d);
+            record(&all, d);
+        }
+        let m = StatsCollector::merged(&parts);
+        let s = all.snapshot();
+        assert_eq!(m.count, s.count);
+        assert_eq!(m.mean_s, s.mean_s);
+        assert_eq!(m.p50_s, s.p50_s);
+        assert_eq!(m.p99_s, s.p99_s);
+        assert_eq!(m.queue_wait, s.queue_wait);
+        // The slow 0.7% sits above the 99th percentile: p99 stays at the
+        // bulk's latency.
+        assert!(m.p99_s < 0.003, "p99 {}", m.p99_s);
     }
 
     #[test]
@@ -668,64 +654,13 @@ mod tests {
         assert_eq!(m.service, s.service);
     }
 
-    /// Satellite cross-check: the thinning reservoir's sampled
-    /// percentiles must agree with the exact-count histogram quantiles
-    /// within their combined error budget, *through* a thinning phase
-    /// (n > 2·MAX_SAMPLES) and at the extremes of `q`.
-    #[test]
-    fn reservoir_percentiles_track_exact_histogram() {
-        let c = StatsCollector::default();
-        let mut h = Histogram::new();
-        // Deterministic LCG so the every-2^k-th thinning subsample is
-        // representative (see the periodicity-bias note in the module
-        // docs); skewed latencies in [1ms, ~33ms].
-        let mut x = 0x2545f4914f6cdd1du64;
-        let n = MAX_SAMPLES * 2 + 321;
-        for _ in 0..n {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let ms = 1.0 + ((x >> 40) as f64 / (1u64 << 24) as f64).powi(3) * 32.0;
-            let d = Duration::from_secs_f64(ms / 1e3);
-            c.record_request(d, d, Duration::ZERO, Duration::ZERO);
-            h.record(d);
-        }
-        let s = c.snapshot();
-        assert_eq!(s.count, n as u64, "count exact through thinning");
-        assert_eq!(s.queue_wait.count, n as u64, "histogram counts everything");
-        for (sampled, exact, q) in [
-            (s.p50_s, s.queue_wait.p50_s, 50.0),
-            (s.p99_s, s.queue_wait.p99_s, 99.0),
-        ] {
-            // Budget: 1/32 bucket width + sampling noise (see module
-            // docs; generous 5% total keeps the test deterministic-safe).
-            let rel = (sampled - exact).abs() / exact;
-            assert!(
-                rel < 0.05,
-                "q={q}: reservoir {sampled} vs histogram {exact} ({rel:.3} rel)"
-            );
-        }
-        // Extreme-q edge cases agree on both paths.
-        let sorted = {
-            let mut v = c.state.lock().unwrap().latency.samples.clone();
-            v.sort_by(f64::total_cmp);
-            v
-        };
-        assert!(percentile(&sorted, 0.0) <= percentile(&sorted, 100.0));
-        assert!(h.quantile(0.0) <= h.quantile(100.0));
-        assert!(
-            (percentile(&sorted, 100.0) - h.max_s()).abs() / h.max_s() < 0.05,
-            "q=100 tracks the true max on both paths"
-        );
-    }
-
     #[test]
     fn merged_combines_counts_and_samples() {
         let a = StatsCollector::default();
         let b = StatsCollector::default();
-        a.record(Duration::from_millis(1));
-        a.record(Duration::from_millis(2));
-        b.record(Duration::from_millis(100));
+        record(&a, Duration::from_millis(1));
+        record(&a, Duration::from_millis(2));
+        record(&b, Duration::from_millis(100));
         a.record_enqueue(4);
         b.record_enqueue(9);
         b.record_shed();
@@ -741,6 +676,9 @@ mod tests {
         assert_eq!(m.passed_over, 1);
         assert_eq!(m.max_queue_depth, 9);
         assert!((m.mean_s - (0.001 + 0.002 + 0.1) / 3.0).abs() < 1e-9);
-        assert!((m.p99_s - 0.1).abs() < 1e-9, "p99 spans both collectors");
+        assert!(
+            (m.p99_s - 0.1).abs() / 0.1 <= Histogram::RELATIVE_ERROR,
+            "p99 spans both collectors"
+        );
     }
 }

@@ -123,7 +123,7 @@ pub enum TraceEvent {
         /// Batch-function wall time in nanoseconds.
         service_ns: u64,
     },
-    /// The request's response was handed to its completer.
+    /// The request's response was handed to its completion queue.
     Complete,
     /// A pool participant finished running one task (the run/steal span;
     /// the recording thread identifies the worker).
@@ -639,10 +639,11 @@ const BUCKETS: usize = SUB + (64 - SUB_BITS) * SUB;
 /// [`Histogram::RELATIVE_ERROR`] (= 1/32 ≈ 3.1%) of the values it holds:
 /// quantiles come back within ~3.1% of the true value, at any scale from
 /// 1 ns to hours, from a fixed ~15 KiB table. `record` and `merge` are
-/// O(1) and O(buckets) respectively, and — unlike the thinning sampling
-/// [`Reservoir`](crate::stats::Reservoir) it complements — the bucket
-/// counts are **exact**: every recorded value lands in exactly one
-/// bucket forever, so quantile ranks never decay with volume.
+/// O(1) and O(buckets) respectively, and the bucket counts are
+/// **exact**: every recorded value lands in exactly one bucket forever,
+/// so quantile ranks never decay with volume and merged histograms
+/// answer exactly as one histogram fed every value. It is the serving
+/// stack's one latency store ([`crate::stats`]).
 ///
 /// # Examples
 ///
@@ -745,6 +746,12 @@ impl Histogram {
         self.count += other.count;
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
+    /// Length of the bucket table (fixed at construction).
+    #[cfg(test)]
+    pub(crate) fn table_len(&self) -> usize {
+        self.counts.len()
     }
 
     /// Values recorded.

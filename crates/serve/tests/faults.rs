@@ -73,7 +73,7 @@ fn injected_infer_panics_fail_only_their_batch_exactly_once() {
     let snap = server.stats("m", "s").unwrap();
     assert_eq!(snap.count, 6, "only answered requests count as completed");
     // The server survives its panicking batches: nothing is stranded
-    // (shutdown would hang on a leaked completer) and a fresh request
+    // (shutdown would hang on a leaked completion) and a fresh request
     // still works once injection stops.
     faults::set_enabled(false);
     assert_eq!(server.client().infer("m", "s", 7), Ok(70));

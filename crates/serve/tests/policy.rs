@@ -8,7 +8,7 @@ use serve::pool::Pool;
 use serve::server::{BatchPolicy, ScenarioSpec, ServeError, Server};
 use serve::{StrictPriority, WeightedFair};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn sleepy(ms: u64) -> impl Fn(&[u64]) -> Vec<u64> + Send + Sync + 'static {
@@ -320,6 +320,66 @@ fn deregister_drains_with_exactly_one_completion_each() {
     assert_eq!(server.client().infer("m", "s", 41), Ok(42));
 }
 
+/// A synchronous `infer` waiting in the queue when its registration is
+/// removed gets exactly one typed `Deregistered` answer: the sync face
+/// completes through the same queue path as tickets.
+#[test]
+fn deregister_fails_a_queued_sync_request_once() {
+    let server: Server<u64, u64> = Server::new(
+        Pool::new(1),
+        BatchPolicy {
+            max_batch: 1,
+            max_wait: Duration::from_millis(0),
+        },
+    );
+    // Batches block until the gate opens, so nothing completes while the
+    // test arranges the queue.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let g = Arc::clone(&gate);
+    server
+        .register(ScenarioSpec::new("m", "s"), move |xs: &[u64]| {
+            let (open, cv) = &*g;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+            xs.to_vec()
+        })
+        .unwrap();
+    // Two dispatched batches fill the one worker's pacing window (two
+    // batches in flight per worker), so the next request stays queued.
+    let cq = server.async_client();
+    for i in 0..2 {
+        cq.submit("m", "s", i).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let settle = |done: &dyn Fn() -> bool| {
+        while !done() {
+            assert!(Instant::now() < deadline, "server never settled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    settle(&|| server.batch_size_stats("m", "s").unwrap().count == 2);
+    let client = server.client();
+    let waiter = std::thread::spawn(move || client.infer("m", "s", 7));
+    settle(&|| server.stats("m", "s").unwrap().submitted == 3);
+    server.deregister("m", "s").unwrap();
+    match waiter.join().unwrap() {
+        Err(ServeError::Deregistered { model, scenario }) => {
+            assert_eq!((model.as_str(), scenario.as_str()), ("m", "s"));
+        }
+        other => panic!("expected Deregistered, got {other:?}"),
+    }
+    // The dispatched batches still run to completion, once each.
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    for _ in 0..2 {
+        let c = cq.wait(Duration::from_secs(10)).expect("completion lost");
+        assert!(c.result.is_ok());
+    }
+    assert!(cq.poll().is_none());
+}
+
 /// The default policy is Fifo and specs with defaults reproduce the
 /// legacy registration: plain request/response round-trips, batch caps,
 /// and shed-free stats — the bit-identical-behavior guard for the API
@@ -357,7 +417,7 @@ fn default_spec_on_fifo_matches_legacy_behavior() {
     let snap = server.stats("m", "s").unwrap();
     assert_eq!(snap.count, 32);
     assert_eq!(snap.shed_total(), 0);
-    let sizes = server.batch_sizes("m", "s").unwrap();
-    assert_eq!(sizes.iter().sum::<usize>(), 32);
-    assert!(sizes.iter().all(|&s| s <= 4));
+    let sizes = server.batch_size_stats("m", "s").unwrap();
+    assert_eq!(sizes.sum, 32.0);
+    assert!(sizes.max <= 4, "{sizes:?}");
 }
