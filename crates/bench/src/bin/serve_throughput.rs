@@ -384,9 +384,12 @@ fn sleepy(ms: u64) -> impl Fn(&[u64]) -> Vec<u64> + Send + Sync + 'static {
 }
 
 /// Weighted-fair shares: three scenarios at weights 1/2/4 on a dedicated
-/// 2-worker pool, every queue saturated with `backlog` requests;
-/// completion counts are sampled mid-flight (before any queue can empty)
-/// and must split in proportion to the weights.
+/// 2-worker pool, every queue saturated with `backlog` requests. Shares
+/// are the completions between two stats snapshots: the first once every
+/// scenario has completed a batch, so the scheduler's start-up round
+/// (every queue served once before the deficits take hold) stays out of
+/// the window, and the second `backlog` completions later, while every
+/// queue still holds work. They must split in proportion to the weights.
 fn wfq_study(backlog: usize) -> WfqStudy {
     let weights = [1u32, 2, 4];
     let scenarios = ["wfq_w1", "wfq_w2", "wfq_w4"];
@@ -410,25 +413,37 @@ fn wfq_study(backlog: usize) -> WfqStudy {
             ep.submit(i as u64).expect("unbounded queue must admit");
         }
     }
-    // Cut off at `backlog` total completions: the weight-4 scenario owns
-    // 4/7 of that, safely below its own backlog -- no queue runs dry
-    // inside the measurement window.
-    let cutoff = backlog as u64;
-    let stall_deadline = Instant::now() + Duration::from_secs(60);
-    let counts = loop {
-        let c: Vec<u64> = scenarios
+    let snapshot = || -> Vec<u64> {
+        scenarios
             .iter()
             .map(|s| server.stats("policy", s).expect("stats").count)
-            .collect();
-        if c.iter().sum::<u64>() >= cutoff {
-            break c;
-        }
-        assert!(
-            Instant::now() < stall_deadline,
-            "wfq study made no progress: counts {c:?} below cutoff {cutoff}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
+            .collect()
     };
+    let stall_deadline = Instant::now() + Duration::from_secs(60);
+    let wait_for = |done: &dyn Fn(&[u64]) -> bool| -> Vec<u64> {
+        loop {
+            let c = snapshot();
+            if done(&c) {
+                return c;
+            }
+            assert!(
+                Instant::now() < stall_deadline,
+                "wfq study made no progress: counts {c:?}"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    let start = wait_for(&|c| c.iter().all(|&n| n > 0));
+    // Cut off at `backlog` completions past the start: the weight-4
+    // scenario owns 4/7 of those, safely below what is left of its own
+    // backlog -- no queue runs dry inside the measurement window.
+    let cutoff = backlog as u64 + start.iter().sum::<u64>();
+    let end = wait_for(&|c| c.iter().sum::<u64>() >= cutoff);
+    assert!(
+        end.iter().all(|&n| n < backlog as u64),
+        "a wfq queue ran dry inside the window: counts {end:?} of {backlog} each"
+    );
+    let counts: Vec<u64> = end.iter().zip(&start).map(|(e, s)| e - s).collect();
     server.shutdown();
     let total: u64 = counts.iter().sum();
     let mut shares = [0.0f64; 3];

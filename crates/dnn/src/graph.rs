@@ -786,7 +786,8 @@ impl Model {
     }
 
     /// Forward pass with optional activation quantization and optional
-    /// intermediate-representation capture.
+    /// intermediate-representation capture: a batch of one through
+    /// [`Model::forward_observed`].
     ///
     /// `act_scheme`'s `activations` entries are applied to each weighted
     /// layer's output (post-bias, pre-nonlinearity), matching where LPA's
@@ -802,52 +803,17 @@ impl Model {
         act_scheme: Option<&QuantScheme>,
         capture: bool,
     ) -> ForwardTrace {
-        assert_eq!(
-            input.shape(),
-            &self.input_shape[..],
-            "input shape mismatch for model {}",
-            self.name
-        );
-        if let Some(s) = act_scheme {
-            assert_eq!(
-                s.activations.len(),
-                self.num_quant_layers(),
-                "activation scheme length must match weighted-layer count"
-            );
-        }
-        let mut values: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        values[0] = Some(input.clone());
-        let mut irs = Vec::new();
-        let mut li = 0usize;
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if idx == 0 {
-                continue;
-            }
-            let get = |i: usize| -> &Tensor {
-                values[i].as_ref().expect("node input evaluated before use")
-            };
-            let mut out = eval_op(
-                &node.op,
-                &node.inputs.iter().map(|&i| get(i)).collect::<Vec<_>>(),
-            );
-            if node.op.is_weighted() {
-                if let Some(s) = act_scheme {
-                    if let Some(q) = &s.activations[li] {
-                        q.quantize_slice(out.data_mut());
-                    }
-                }
-                if capture {
-                    irs.push(out.clone());
-                }
-                li += 1;
-            }
-            values[idx] = Some(out);
-        }
+        let mut irs = IrCapture {
+            on: capture,
+            irs: Vec::new(),
+        };
+        let output = self
+            .forward_observed(std::slice::from_ref(input), act_scheme, &mut irs)
+            .pop()
+            .expect("one output per input");
         ForwardTrace {
-            output: values[self.output]
-                .take()
-                .expect("output node was not evaluated"),
-            irs,
+            output,
+            irs: irs.irs,
         }
     }
 
@@ -894,6 +860,23 @@ impl Model {
         inputs: &[Tensor],
         act_scheme: Option<&QuantScheme>,
     ) -> Vec<Tensor> {
+        self.forward_observed(inputs, act_scheme, &mut ())
+    }
+
+    /// The batch interpreter every forward pass runs on: evaluates the
+    /// micro-batch node by node ([`Model::forward_batch_quant`]) while
+    /// `observer` sees each weighted layer's outputs and takes the
+    /// [`Snapshot`]s it asks for.
+    ///
+    /// # Panics
+    ///
+    /// Panics on input-shape mismatch or scheme-length mismatch.
+    pub fn forward_observed<O: LayerObserver>(
+        &self,
+        inputs: &[Tensor],
+        act_scheme: Option<&QuantScheme>,
+        observer: &mut O,
+    ) -> Vec<Tensor> {
         if inputs.is_empty() {
             return Vec::new();
         }
@@ -905,6 +888,56 @@ impl Model {
                 self.name
             );
         }
+        let mut values = vec![None; self.nodes.len()];
+        values[0] = Some(Arc::new(inputs.to_vec()));
+        self.run(values, 1, 0, act_scheme, observer)
+    }
+
+    /// Continues a forward pass from `snap`: evaluates only the nodes from
+    /// the snapshot's weighted layer on, over the snapshot's batch.
+    ///
+    /// Outputs and observed layer outputs are bit-identical to those of
+    /// a full [`Model::forward_observed`] over the original inputs, as long
+    /// as this model's weighted layers before [`Snapshot::layer`] hold the
+    /// weights the snapshot was taken under (later layers may differ —
+    /// that is the point) and `act_scheme` agrees on them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on scheme-length mismatch, or if the snapshot's boundary
+    /// does not sit at this model's weighted layer of that ordinal.
+    pub fn resume_observed<O: LayerObserver>(
+        &self,
+        snap: &Snapshot,
+        act_scheme: Option<&QuantScheme>,
+        observer: &mut O,
+    ) -> Vec<Tensor> {
+        assert_eq!(
+            self.quant_layers().get(snap.layer),
+            Some(&snap.node),
+            "snapshot boundary does not match model {}",
+            self.name
+        );
+        let mut values = vec![None; self.nodes.len()];
+        for (node, vals) in &snap.values {
+            values[*node] = Some(Arc::clone(vals));
+        }
+        self.run(values, snap.node, snap.layer, act_scheme, observer)
+    }
+
+    /// The one node loop: evaluates nodes `start..` over the seeded
+    /// `values` (one tensor per batch element per node), starting at
+    /// weighted-layer ordinal `layer`. Each node's value is dropped after
+    /// its last reader runs, so a batch holds only the live frontier, and
+    /// a snapshot shares the live values rather than copying them.
+    fn run<O: LayerObserver>(
+        &self,
+        mut values: Vec<Option<Arc<Vec<Tensor>>>>,
+        start: usize,
+        mut layer: usize,
+        act_scheme: Option<&QuantScheme>,
+        observer: &mut O,
+    ) -> Vec<Tensor> {
         if let Some(s) = act_scheme {
             assert_eq!(
                 s.activations.len(),
@@ -912,47 +945,139 @@ impl Model {
                 "activation scheme length must match weighted-layer count"
             );
         }
-        let b = inputs.len();
-        let mut values: Vec<Option<Vec<Tensor>>> = vec![None; self.nodes.len()];
-        values[0] = Some(inputs.to_vec());
-        let mut li = 0usize;
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if idx == 0 {
-                continue;
-            }
-            let args: Vec<Vec<&Tensor>> = (0..b)
-                .map(|e| {
-                    node.inputs
+        let last_read = self.last_reads();
+        for (idx, node) in self.nodes.iter().enumerate().skip(start) {
+            let weighted = node.op.is_weighted();
+            if weighted && observer.wants_snapshot(layer) {
+                observer.snapshot(Snapshot {
+                    layer,
+                    node: idx,
+                    values: values
                         .iter()
-                        .map(|&i| &values[i].as_ref().expect("node input evaluated before use")[e])
-                        .collect()
-                })
+                        .enumerate()
+                        .filter_map(|(i, v)| Some((i, Arc::clone(v.as_ref()?))))
+                        .collect(),
+                });
+            }
+            let get = |i: usize| -> &[Tensor] {
+                values[i]
+                    .as_deref()
+                    .expect("node input evaluated before use")
+            };
+            let b = get(node.inputs[0]).len();
+            let args: Vec<Vec<&Tensor>> = (0..b)
+                .map(|e| node.inputs.iter().map(|&i| &get(i)[e]).collect())
                 .collect();
             let mut outs = eval_op_batch(&node.op, &args);
-            if node.op.is_weighted() {
-                if let Some(s) = act_scheme {
-                    if let Some(q) = &s.activations[li] {
-                        // Resolve the format's kernel (its decode-table
-                        // lookup) once for the layer, not once per input.
-                        let sq = q.slice_quantizer();
-                        for t in &mut outs {
-                            sq.quantize_slice(t.data_mut());
-                        }
+            if weighted {
+                if let Some(q) = act_scheme.and_then(|s| s.activations[layer].as_ref()) {
+                    // Resolve the format's kernel (its decode-table lookup)
+                    // once for the layer, not once per input.
+                    let sq = q.slice_quantizer();
+                    for t in &mut outs {
+                        sq.quantize_slice(t.data_mut());
                     }
                 }
-                li += 1;
+                observer.layer_output(layer, &outs);
+                layer += 1;
             }
-            values[idx] = Some(outs);
+            for &i in &node.inputs {
+                if last_read[i] == idx {
+                    values[i] = None;
+                }
+            }
+            values[idx] = Some(Arc::new(outs));
         }
-        values[self.output]
+        let out = values[self.output]
             .take()
-            .expect("output node was not evaluated")
+            .expect("output node was not evaluated");
+        Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// For each node, the index of the last node that reads it (its own
+    /// index if none does); `usize::MAX` for the output.
+    fn last_reads(&self) -> Vec<usize> {
+        let mut last: Vec<usize> = (0..self.nodes.len()).collect();
+        for (idx, node) in self.nodes.iter().enumerate() {
+            for &i in &node.inputs {
+                last[i] = idx;
+            }
+        }
+        last[self.output] = usize::MAX;
+        last
+    }
+}
+
+/// A weighted-layer hook of the batch interpreter
+/// ([`Model::forward_observed`], [`Model::resume_observed`]).
+///
+/// `()` is the no-op observer: a zero-size type whose calls compile away,
+/// so the serving forwards do exactly the per-node work they would with no
+/// hook at all.
+pub trait LayerObserver {
+    /// Sees weighted layer `layer`'s outputs (post-bias, after activation
+    /// quantization), one tensor per batch element.
+    fn layer_output(&mut self, _layer: usize, _outs: &[Tensor]) {}
+
+    /// Whether to take a [`Snapshot`] at the boundary just before weighted
+    /// layer `layer` runs.
+    fn wants_snapshot(&self, _layer: usize) -> bool {
+        false
+    }
+
+    /// Receives a snapshot [`LayerObserver::wants_snapshot`] asked for.
+    fn snapshot(&mut self, _snap: Snapshot) {}
+}
+
+impl LayerObserver for () {}
+
+/// What a forward needs to continue from a weighted-layer boundary
+/// ([`Model::resume_observed`]): the value, for each batch element, of
+/// every node computed before the layer's node that the layer or a later
+/// node still reads — residual skips included.
+#[derive(Clone, Debug)]
+pub struct Snapshot {
+    /// Weighted-layer ordinal the boundary sits before.
+    layer: usize,
+    /// Node index of that layer.
+    node: usize,
+    /// `(node, one value per batch element)` of every live node, shared
+    /// with the forward that took the snapshot.
+    values: Vec<(usize, Arc<Vec<Tensor>>)>,
+}
+
+impl Snapshot {
+    /// Weighted-layer ordinal the boundary sits before.
+    pub fn layer(&self) -> usize {
+        self.layer
+    }
+
+    /// Node index at which a resumed forward starts: the number of nodes
+    /// (input included) it skips.
+    pub fn node(&self) -> usize {
+        self.node
+    }
+}
+
+/// [`Model::forward_traced`]'s observer: clones each weighted layer's
+/// output when capture is on.
+struct IrCapture {
+    on: bool,
+    irs: Vec<Tensor>,
+}
+
+impl LayerObserver for IrCapture {
+    fn layer_output(&mut self, _layer: usize, outs: &[Tensor]) {
+        if self.on {
+            self.irs.extend_from_slice(outs);
+        }
     }
 }
 
 /// Evaluates one operator on a whole batch of input sets (`args[e]` is
-/// element `e`'s operand list). GEMM-backed weighted ops stack the batch
-/// into one matrix product; everything else evaluates per element.
+/// element `e`'s operand list). Weighted ops run once over the batch —
+/// the GEMM-backed ones stack it into one matrix product — and everything
+/// else evaluates per element through [`eval_op`].
 fn eval_op_batch(op: &Op, args: &[Vec<&Tensor>]) -> Vec<Tensor> {
     let first = || args.iter().map(|a| a[0]).collect::<Vec<&Tensor>>();
     match op {
@@ -988,39 +1113,10 @@ fn eval_op_batch(op: &Op, args: &[Vec<&Tensor>]) -> Vec<Tensor> {
     }
 }
 
-/// Evaluates one operator on its input tensors. Weighted GEMM-backed ops
-/// delegate to the batch helpers with a single element, so the per-input
-/// and batched paths are the same code (and bit-identical by
-/// construction).
+/// Evaluates one unweighted operator on one element's input tensors: the
+/// per-element fallback of [`eval_op_batch`].
 fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
     match op {
-        Op::Input => unreachable!("input nodes are seeded, not evaluated"),
-        Op::Conv2d {
-            weight,
-            bias,
-            stride,
-            pad,
-        } => conv2d_batch(&inputs[..1], weight, bias, *stride, *pad)
-            .pop()
-            .expect("one output per input"),
-        Op::DwConv2d {
-            weight,
-            bias,
-            stride,
-            pad,
-        } => dwconv2d(inputs[0], &weight.to_dense(), bias, *stride, *pad),
-        Op::Linear { weight, bias } => linear_batch(&inputs[..1], weight, bias)
-            .pop()
-            .expect("one output per input"),
-        Op::PatchEmbed {
-            weight,
-            bias,
-            patch,
-            cls,
-            pos,
-        } => patch_embed_batch(&inputs[..1], weight, bias, *patch, cls, pos)
-            .pop()
-            .expect("one output per input"),
         Op::Relu => {
             let mut t = inputs[0].clone();
             for v in t.data_mut() {
@@ -1036,11 +1132,6 @@ fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
         Op::Add => inputs[0].add(inputs[1]),
         Op::LayerNorm { gamma, beta } => layer_norm(inputs[0], gamma, beta),
         Op::Mha { heads } => mha(inputs[0], inputs[1], inputs[2], *heads),
-        Op::TokenMerge { weight, bias, grid } => {
-            token_merge_batch(&inputs[..1], weight, bias, *grid)
-                .pop()
-                .expect("one output per input")
-        }
         Op::MaxPool { k, stride } => max_pool(inputs[0], *k, *stride),
         Op::GlobalAvgPool => global_avg_pool(inputs[0]),
         Op::MeanTokens => mean_tokens(inputs[0]),
@@ -1048,6 +1139,12 @@ fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
             let t = inputs[0];
             t.reshaped(&[t.len()])
         }
+        Op::Input => unreachable!("input nodes are seeded, not evaluated"),
+        Op::Conv2d { .. }
+        | Op::DwConv2d { .. }
+        | Op::Linear { .. }
+        | Op::PatchEmbed { .. }
+        | Op::TokenMerge { .. } => unreachable!("weighted ops run in eval_op_batch"),
     }
 }
 

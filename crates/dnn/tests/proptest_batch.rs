@@ -19,9 +19,16 @@
 //!   operands salted with ±0.0 / NaN / ±∞ / subnormals — as does
 //!   [`Tensor::matmul_t_packed`] against the dense
 //!   kernel over dequantized weights (including the `m = 1` serving
-//!   matvec shape).
+//!   matvec shape);
+//! * a forward resumed from a [`Snapshot`] at any weighted-layer boundary
+//!   ([`Model::resume_observed`]) gives outputs and observed layer outputs
+//!   bit-identical to a full forward ([`Model::forward_observed`]) — also
+//!   when the layers after the boundary carry different weights, which is
+//!   how LPQ reuses a parent candidate's prefix — for the zoo's resnet18,
+//!   mobilenetv2 and deit_s and for random MLP and CNN graphs, at batch
+//!   sizes 1, 3 and 8, with and without activation quantization.
 
-use dnn::graph::{Model, Op, QuantScheme};
+use dnn::graph::{LayerObserver, Model, Op, QuantScheme, Snapshot};
 use dnn::tensor::{QTensor, Tensor};
 use lp::quantizer::{fit_quantizer, FormatKind};
 use proptest::prelude::*;
@@ -211,6 +218,145 @@ fn fitted_scheme(m: &Model, kind: FormatKind, bits: u32) -> QuantScheme {
         *w = Some(Arc::from(fit_quantizer(kind, bits, weights[i]).unwrap()));
     }
     scheme
+}
+
+/// Records each weighted layer's observed outputs and, when `snap_all`,
+/// a snapshot at every weighted-layer boundary.
+#[derive(Default)]
+struct Recorder {
+    snap_all: bool,
+    outs: Vec<(usize, Vec<Tensor>)>,
+    snaps: Vec<Snapshot>,
+}
+
+impl LayerObserver for Recorder {
+    fn layer_output(&mut self, layer: usize, outs: &[Tensor]) {
+        self.outs.push((layer, outs.to_vec()));
+    }
+
+    fn wants_snapshot(&self, _layer: usize) -> bool {
+        self.snap_all
+    }
+
+    fn snapshot(&mut self, snap: Snapshot) {
+        self.snaps.push(snap);
+    }
+}
+
+fn assert_all_bitwise_eq(got: &[Tensor], want: &[Tensor], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: batch");
+    for (g, w) in got.iter().zip(want) {
+        assert_bitwise_eq(g, w, ctx);
+    }
+}
+
+/// Snapshots a full forward of `m` at every weighted-layer boundary and
+/// resumes from each: outputs and observed layer outputs must equal a
+/// full forward bit for bit. With `retune`, the model resumed is `m` with
+/// every layer from the boundary on re-quantized (fitted LP, 6 bits), and
+/// the reference is a full forward of that model.
+fn assert_resume_matches_full(
+    m: &Model,
+    inputs: &[Tensor],
+    act: Option<&QuantScheme>,
+    retune: bool,
+    ctx: &str,
+) {
+    let mut full = Recorder {
+        snap_all: true,
+        ..Recorder::default()
+    };
+    let want = m.forward_observed(inputs, act, &mut full);
+    let layers = m.num_quant_layers();
+    assert_eq!(full.snaps.len(), layers, "{ctx}: one snapshot per layer");
+    for (l, snap) in full.snaps.iter().enumerate() {
+        let ctx = format!("{ctx}: resumed at layer {l}");
+        assert_eq!(snap.layer(), l, "{ctx}");
+        let (target, want, want_outs) = if retune {
+            let weights = m.layer_weights();
+            let mut scheme = QuantScheme::identity(layers);
+            for (i, w) in scheme.weights.iter_mut().enumerate().skip(l) {
+                *w = Some(Arc::from(
+                    fit_quantizer(FormatKind::Lp, 6, weights[i]).unwrap(),
+                ));
+            }
+            let target = m.quantize_weights(&scheme);
+            let mut rec = Recorder::default();
+            let want = target.forward_observed(inputs, act, &mut rec);
+            (target, want, rec.outs)
+        } else {
+            (m.clone(), want.clone(), full.outs.clone())
+        };
+        let mut resumed = Recorder::default();
+        let got = target.resume_observed(snap, act, &mut resumed);
+        assert_all_bitwise_eq(&got, &want, &ctx);
+        assert_eq!(resumed.outs.len(), layers - l, "{ctx}: observed layers");
+        for ((gl, g), (wl, w)) in resumed.outs.iter().zip(&want_outs[l..]) {
+            assert_eq!(gl, wl, "{ctx}");
+            assert_all_bitwise_eq(g, w, &format!("{ctx}: layer {gl} output"));
+        }
+    }
+}
+
+/// Resume ≡ full over a zoo model at batch sizes 1, 3 and 8, with no
+/// activation quantization and with fitted LP8 activations.
+fn assert_zoo_resume_matches_full(name: &str) {
+    let m = dnn::models::by_name(name);
+    let calib = dnn::data::calibration_set(&m);
+    let act = lp8_activations(&m, &calib[0]);
+    for b in [1, 3, 8] {
+        let inputs = &calib[..b];
+        assert_resume_matches_full(&m, inputs, None, false, &format!("{name} B={b}"));
+        assert_resume_matches_full(&m, inputs, Some(&act), false, &format!("{name} B={b} lp8"));
+    }
+}
+
+#[test]
+fn resumed_forward_is_bit_identical_to_full_resnet18() {
+    assert_zoo_resume_matches_full("resnet18");
+}
+
+#[test]
+fn resumed_forward_is_bit_identical_to_full_mobilenetv2() {
+    assert_zoo_resume_matches_full("mobilenetv2");
+}
+
+#[test]
+fn resumed_forward_is_bit_identical_to_full_deit_s() {
+    assert_zoo_resume_matches_full("deit_s");
+}
+
+/// Batch sizes of the random-graph resume properties.
+fn resume_batch() -> impl Strategy<Value = usize> {
+    (0usize..3).prop_map(|i| [1, 3, 8][i])
+}
+
+proptest! {
+    #[test]
+    fn resumed_forward_is_bit_identical_to_full_mlp(
+        w1 in vecf(35), w2 in vecf(42), w3 in vecf(18), b in vecf(16),
+        xs in prop::collection::vec(vecf(5), 8), batch in resume_batch(),
+        quant_acts in prop::bool::ANY,
+    ) {
+        let m = mlp(w1, w2, w3, b);
+        let inputs: Vec<Tensor> =
+            xs.into_iter().take(batch).map(|d| Tensor::from_vec(&[5], d)).collect();
+        let act = quant_acts.then(|| lp8_activations(&m, &inputs[0]));
+        assert_resume_matches_full(&m, &inputs, act.as_ref(), true, "mlp");
+    }
+
+    #[test]
+    fn resumed_forward_is_bit_identical_to_full_cnn(
+        w in vecf(CNN_WEIGHTS), b in vecf(CNN_BIASES),
+        xs in prop::collection::vec(vecf(CNN_LEN), 8), batch in resume_batch(),
+        quant_acts in prop::bool::ANY,
+    ) {
+        let m = cnn(w, b);
+        let inputs: Vec<Tensor> =
+            xs.into_iter().take(batch).map(|d| Tensor::from_vec(&CNN_IN, d)).collect();
+        let act = quant_acts.then(|| lp8_activations(&m, &inputs[0]));
+        assert_resume_matches_full(&m, &inputs, act.as_ref(), true, "cnn");
+    }
 }
 
 proptest! {

@@ -249,6 +249,174 @@ pub struct DecodeTable {
     q_neg_inf: f32,
 }
 
+/// Probes a seeded search spends galloping away from one seed (steps 1,
+/// 2, 4: a boundary within 7 keys of the seed) before it gives the seed up.
+const GALLOP_PROBES: u32 = 3;
+
+/// The two seeds of the boundary between adjacent values `a < b`: first
+/// the geometric midpoint, where formats that round in the log domain (LP,
+/// LNS) switch, then the arithmetic midpoint, where linear-grid formats
+/// (posit fractions, minifloat, integer) switch. Next to a zero value the
+/// first seed is instead the zero's edge, where formats that never round
+/// to zero (LP, posit) switch. Both are `None` next to an infinite value,
+/// and the first where the values differ in sign.
+fn boundary_seeds(a: f32, b: f32) -> [Option<u32>; 2] {
+    if !(a.is_finite() && b.is_finite()) {
+        return [None, None];
+    }
+    let first = if b == 0.0 {
+        Some(sort_key(-0.0))
+    } else if a == 0.0 {
+        Some(sort_key(f32::from_bits(1)))
+    } else {
+        let (a, b) = (f64::from(a), f64::from(b));
+        (a * b > 0.0).then(|| sort_key((a.signum() * (a * b).sqrt()) as f32))
+    };
+    let arith = Some(sort_key(((f64::from(a) + f64::from(b)) * 0.5) as f32));
+    [first, arith]
+}
+
+/// The smallest key in `(lo, hi]` for which `above` holds, given
+/// `!above(lo) && above(hi)`, by plain bisection.
+fn bisect(mut lo: u32, mut hi: u32, above: impl Fn(u32) -> bool) -> u32 {
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if above(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// [`bisect`] seeded at `seeds`, tried in order: probe a seed, gallop
+/// away from it by doubling steps for up to [`GALLOP_PROBES`] probes, and
+/// bisect only the bracket that is left. A seed that lands within a few
+/// keys of the boundary costs a handful of probes in place of ~20; one
+/// that misses has still narrowed the bracket it probed, so the fallback
+/// bisection has less left to do.
+///
+/// Returns the boundary and the index of the seed whose gallop crossed it
+/// (`None` when every seed missed). `above` is monotone, so the smallest
+/// key that maps above the lower value is unique: any search order
+/// returns exactly what [`bisect`] returns.
+fn seeded_bisect(
+    mut lo: u32,
+    mut hi: u32,
+    seeds: [Option<u32>; 2],
+    above: impl Fn(u32) -> bool,
+) -> (u32, Option<usize>) {
+    for (which, seed) in seeds.into_iter().enumerate() {
+        let Some(s) = seed.filter(|&s| lo < s && s < hi) else {
+            continue;
+        };
+        let mut step = 1u32;
+        if above(s) {
+            hi = s;
+            for _ in 0..GALLOP_PROBES {
+                if hi - lo <= 1 {
+                    return (hi, Some(which));
+                }
+                let t = hi - step.min(hi - lo - 1);
+                if !above(t) {
+                    return (bisect(t, hi, &above), Some(which));
+                }
+                hi = t;
+                step *= 2;
+            }
+        } else {
+            lo = s;
+            for _ in 0..GALLOP_PROBES {
+                if hi - lo <= 1 {
+                    return (hi, Some(which));
+                }
+                let t = lo + step.min(hi - lo - 1);
+                if above(t) {
+                    return (bisect(lo, t, &above), Some(which));
+                }
+                lo = t;
+                step *= 2;
+            }
+        }
+    }
+    (bisect(lo, hi, &above), None)
+}
+
+/// Measures `bounds[i]`, the sort key of the smallest `f32` input whose
+/// scalar quantization exceeds `values[i]`, for each adjacent pair of the
+/// sorted, deduplicated `values`.
+///
+/// With `seeded`, each bisection starts at the pair's midpoints
+/// ([`seeded_bisect`]), trying first the kind of midpoint that found the
+/// previous boundary, so a format pays for a wrong guess only where its
+/// rounding changes character (a posit's fraction bits running out).
+/// Without it, every boundary is bisected from its full bracket; the
+/// tests keep that as the oracle the seeded search must equal.
+fn measure_bounds(values: &[f32], scalar: &impl Fn(f32) -> f32, seeded: bool) -> Vec<u32> {
+    let k_min = sort_key(f32::MIN); // most negative finite input
+    let k_max = sort_key(f32::MAX);
+    let k_unreachable = k_max + 1;
+    let mut bounds: Vec<u32> = Vec::with_capacity(values.len().saturating_sub(1));
+    let mut prev = k_min;
+    // Index into `boundary_seeds` of the midpoint kind tried first.
+    let mut first = 0usize;
+    for i in 0..values.len().saturating_sub(1) {
+        let vi = values[i];
+        // Does the input with this key quantize above values[i]?
+        // (NaN outputs compare false, which conservatively reads as
+        // "not above"; only the unreachable-sentinel path can see them.)
+        let above = |k: u32| scalar(from_key(k)) > vi;
+        let bound = if prev > k_max {
+            k_unreachable
+        } else if above(prev) {
+            // values[i] is unreachable beyond the previous boundary.
+            prev
+        } else {
+            // Establish an upper bracket at/above the next value.
+            let mut hi = if values[i + 1].is_finite() {
+                sort_key(values[i + 1]).max(prev)
+            } else {
+                k_max
+            };
+            if !above(hi) {
+                // Rare: the next value's own bit pattern still rounds
+                // down. Expand exponentially toward the top of the
+                // finite range.
+                let mut step = 1u32;
+                loop {
+                    if hi >= k_max {
+                        hi = k_unreachable;
+                        break;
+                    }
+                    hi = hi.saturating_add(step).min(k_max);
+                    if above(hi) {
+                        break;
+                    }
+                    step = step.saturating_mul(2);
+                }
+            }
+            if hi == k_unreachable {
+                hi
+            } else if seeded {
+                // Invariant: !above(prev) && above(hi).
+                let mut seeds = boundary_seeds(vi, values[i + 1]);
+                seeds.rotate_left(first);
+                let (bound, crossed) = seeded_bisect(prev, hi, seeds, above);
+                if let Some(which) = crossed {
+                    first = (first + which) % seeds.len();
+                }
+                bound
+            } else {
+                bisect(prev, hi, above)
+            }
+        };
+        bounds.push(bound);
+        prev = bound;
+    }
+    bounds
+}
+
 impl DecodeTable {
     /// Enumerates, sorts and boundary-measures the full decode table of a
     /// quantizer.
@@ -273,67 +441,9 @@ impl DecodeTable {
         );
 
         let scalar = |x: f32| -> f32 { q.quantize(f64::from(x)) as f32 };
-
-        let k_min = sort_key(f32::MIN); // most negative finite input
+        let bounds = measure_bounds(&values, &scalar, true);
+        let k_min = sort_key(f32::MIN);
         let k_max = sort_key(f32::MAX);
-        let k_unreachable = k_max + 1;
-        let mut bounds: Vec<u32> = Vec::with_capacity(values.len().saturating_sub(1));
-        let mut prev = k_min;
-        for i in 0..values.len().saturating_sub(1) {
-            let vi = values[i];
-            // Does the input with this key quantize above values[i]?
-            // (NaN outputs compare false, which conservatively reads as
-            // "not above"; only the unreachable-sentinel path can see them.)
-            let above = |k: u32| scalar(from_key(k)) > vi;
-            let bound = if prev > k_max {
-                k_unreachable
-            } else if above(prev) {
-                // values[i] is unreachable beyond the previous boundary.
-                prev
-            } else {
-                // Establish an upper bracket at/above the next value.
-                let mut hi = if values[i + 1].is_finite() {
-                    sort_key(values[i + 1]).max(prev)
-                } else {
-                    k_max
-                };
-                if !above(hi) {
-                    // Rare: the next value's own bit pattern still rounds
-                    // down. Expand exponentially toward the top of the
-                    // finite range.
-                    let mut step = 1u32;
-                    loop {
-                        if hi >= k_max {
-                            hi = k_unreachable;
-                            break;
-                        }
-                        hi = hi.saturating_add(step).min(k_max);
-                        if above(hi) {
-                            break;
-                        }
-                        step = step.saturating_mul(2);
-                    }
-                }
-                if hi == k_unreachable {
-                    hi
-                } else {
-                    // Invariant: !above(prev) && above(hi) — bisect to the
-                    // smallest key that maps above values[i].
-                    let (mut lo, mut hi) = (prev, hi);
-                    while hi - lo > 1 {
-                        let mid = lo + (hi - lo) / 2;
-                        if above(mid) {
-                            hi = mid;
-                        } else {
-                            lo = mid;
-                        }
-                    }
-                    hi
-                }
-            };
-            bounds.push(bound);
-            prev = bound;
-        }
 
         let q_pos_zero = scalar(0.0);
         let zero_index = {
@@ -793,6 +903,105 @@ mod tests {
             multi_blocks > 0,
             "no format exercised a multi-boundary block"
         );
+    }
+
+    /// One quantizer per knob setting of the codec proptests' family grid
+    /// (`tests/proptest_codec.rs`): LP, posit, AdaptivFloat, minifloat,
+    /// integer, fixed point and LNS.
+    fn family(
+        kind: usize,
+        n: u32,
+        a: u32,
+        b: u32,
+        sf_step: i32,
+    ) -> Box<dyn Quantizer + Send + Sync> {
+        let sf = f64::from(sf_step) * 0.5;
+        match kind {
+            0 => {
+                let es = a.min(n.saturating_sub(3)).min(5);
+                let rs = (2u32.min(n - 1) + b).min(n - 1);
+                Box::new(LpParams::new(n, es, rs, sf).unwrap())
+            }
+            1 => Box::new(PositParams::new(n, a.min(n - 2)).unwrap()),
+            2 => {
+                let n = n.max(3);
+                Box::new(AdaptivFloat::new(n, (1 + a).clamp(1, n - 1), sf_step - 1).unwrap())
+            }
+            3 => {
+                let n = n.max(3);
+                Box::new(MiniFloat::new(n, (1 + a).clamp(1, n - 1)).unwrap())
+            }
+            4 => {
+                let scale = f64::from(1 + a) * 0.05 * f64::from(b + 1);
+                Box::new(IntQuantizer::new(n, scale).unwrap())
+            }
+            5 => Box::new(FixedPoint::new(n, a as i32 * 3 - 2).unwrap()),
+            _ => Box::new(LnsQuantizer::new(n.max(3), (1 + a).min(n.max(3) - 2), sf).unwrap()),
+        }
+    }
+
+    /// Seeded and plain bounds of one quantizer, with the scalar calls
+    /// each search made.
+    fn both_bounds(q: &dyn Quantizer) -> ((Vec<u32>, usize), (Vec<u32>, usize)) {
+        let table = DecodeTable::build(q);
+        let calls = std::cell::Cell::new(0usize);
+        let scalar = |x: f32| {
+            calls.set(calls.get() + 1);
+            q.quantize(f64::from(x)) as f32
+        };
+        let seeded = measure_bounds(table.values(), &scalar, true);
+        let seeded_calls = calls.replace(0);
+        let plain = measure_bounds(table.values(), &scalar, false);
+        assert_eq!(seeded, table.bounds, "{}: build is seeded", q.codec_key());
+        ((seeded, seeded_calls), (plain, calls.get()))
+    }
+
+    #[test]
+    fn seeded_bounds_equal_plain_bisection_for_every_family_and_width() {
+        // Every family at every width 2–16 the codec proptests build;
+        // the full knob grid up to 10 bits, one setting per family above
+        // (a 16-bit table holds 2¹⁶ boundaries). No table may take more
+        // scalar calls than plain bisection.
+        for kind in 0..7 {
+            for n in 2..=16u32 {
+                let grid: &[(u32, u32, i32)] = if n <= 10 {
+                    &[(0, 0, -1), (0, 1, 0), (1, 0, 1), (1, 1, -1), (1, 1, 0)]
+                } else {
+                    &[(1, 1, 0)]
+                };
+                for &(a, b, sf_step) in grid {
+                    let q = family(kind, n, a, b, sf_step);
+                    let ((seeded, sc), (plain, pc)) = both_bounds(q.as_ref());
+                    let key = q.codec_key();
+                    assert_eq!(seeded, plain, "{key}");
+                    assert!(sc <= pc, "{key}: seeded {sc} scalar calls > plain {pc}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_bounds_equal_plain_bisection_over_the_lp_space() {
+        // Exhaustive over LP n ∈ 2..=8 with every valid (es, rs), on a
+        // grid of scale factors; 8-bit tables need ≤ 1/3 of the calls.
+        for n in 2..=8u32 {
+            for es in 0..=n.saturating_sub(3).min(5) {
+                for rs in 2u32.min(n - 1)..=n - 1 {
+                    for sf_step in -6..=6 {
+                        let sf = f64::from(sf_step) * 0.37;
+                        let Ok(p) = LpParams::new(n, es, rs, sf) else {
+                            continue;
+                        };
+                        let ((seeded, sc), (plain, pc)) = both_bounds(&p);
+                        let key = p.codec_key();
+                        assert_eq!(seeded, plain, "{key}");
+                        if n == 8 {
+                            assert!(3 * sc <= pc, "{key}: {sc} vs {pc} scalar calls");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

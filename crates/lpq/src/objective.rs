@@ -53,6 +53,27 @@ pub fn pool_irs(irs: &[Tensor]) -> Vec<f64> {
     irs.iter().map(|t| kurtosis3(t.data())).collect()
 }
 
+/// What the objective reads of one calibration image's forward pass.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Features {
+    /// [`kurtosis3`] of each weighted layer's output, in weighted-layer
+    /// order (empty when the forward captured no IRs).
+    pub pooled: Vec<f64>,
+    /// The output logits.
+    pub logits: Vec<f32>,
+}
+
+impl Features {
+    /// Pools a captured trace: bit-identical to pooling the same layer
+    /// outputs as a forward observes them.
+    pub fn of(trace: &ForwardTrace) -> Self {
+        Features {
+            pooled: pool_irs(&trace.irs),
+            logits: trace.output.data().to_vec(),
+        }
+    }
+}
+
 /// L2-normalizes a vector in place (no-op on zero vectors).
 pub fn normalize(v: &mut [f64]) {
     let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -165,7 +186,20 @@ impl FitnessEvaluator {
         fp_traces: &[ForwardTrace],
         param_counts: Vec<usize>,
     ) -> Self {
-        let raw_pooled: Vec<Vec<f64>> = fp_traces.iter().map(|t| pool_irs(&t.irs)).collect();
+        let fp: Vec<Features> = fp_traces.iter().map(Features::of).collect();
+        Self::from_features(kind, tau, lambda, &fp, param_counts)
+    }
+
+    /// Builds an evaluator from the FP model's pooled calibration
+    /// features.
+    pub fn from_features(
+        kind: ObjectiveKind,
+        tau: f64,
+        lambda: f64,
+        fp: &[Features],
+        param_counts: Vec<usize>,
+    ) -> Self {
+        let raw_pooled: Vec<Vec<f64>> = fp.iter().map(|f| f.pooled.clone()).collect();
         let pooled_mean = batch_mean(&raw_pooled);
         let fp_pooled = raw_pooled
             .into_iter()
@@ -174,9 +208,9 @@ impl FitnessEvaluator {
                 v
             })
             .collect();
-        let raw_logits: Vec<Vec<f64>> = fp_traces
+        let raw_logits: Vec<Vec<f64>> = fp
             .iter()
-            .map(|t| t.output.data().iter().map(|&x| f64::from(x)).collect())
+            .map(|f| f.logits.iter().map(|&x| f64::from(x)).collect())
             .collect();
         let logit_mean = batch_mean(&raw_logits);
         let fp_logits = raw_logits
@@ -186,7 +220,7 @@ impl FitnessEvaluator {
                 v
             })
             .collect();
-        let fp_raw_logits = fp_traces.iter().map(|t| t.output.data().to_vec()).collect();
+        let fp_raw_logits = fp.iter().map(|f| f.logits.clone()).collect();
         let total: usize = param_counts.iter().sum();
         FitnessEvaluator {
             kind,
@@ -225,57 +259,50 @@ impl FitnessEvaluator {
     }
 
     /// The representational-divergence term of the configured objective
-    /// (lower is better).
+    /// over the quantized model's pooled calibration features (lower is
+    /// better).
     ///
     /// # Panics
     ///
-    /// Panics if the number of traces differs from the calibration size.
-    pub fn divergence(&self, q_traces: &[ForwardTrace]) -> f64 {
+    /// Panics if the number of feature sets differs from the calibration
+    /// size.
+    pub fn divergence(&self, q: &[Features]) -> f64 {
         assert_eq!(
-            q_traces.len(),
+            q.len(),
             self.fp_pooled.len(),
             "trace count must match calibration size"
         );
+        let centered_logits = || -> Vec<Vec<f64>> {
+            q.iter()
+                .map(|f| {
+                    let mut v: Vec<f64> = f.logits.iter().map(|&x| f64::from(x)).collect();
+                    center_and_normalize(&mut v, &self.logit_mean);
+                    v
+                })
+                .collect()
+        };
         match self.kind {
             ObjectiveKind::GlobalLocalContrastive => {
-                let q_pooled: Vec<Vec<f64>> = q_traces
+                let q_pooled: Vec<Vec<f64>> = q
                     .iter()
-                    .map(|t| {
-                        let mut v = pool_irs(&t.irs);
+                    .map(|f| {
+                        let mut v = f.pooled.clone();
                         center_and_normalize(&mut v, &self.pooled_mean);
                         v
                     })
                     .collect();
                 // Global part on logits plus local part on pooled IRs.
-                let q_logits: Vec<Vec<f64>> = q_traces
-                    .iter()
-                    .map(|t| {
-                        let mut v: Vec<f64> =
-                            t.output.data().iter().map(|&x| f64::from(x)).collect();
-                        center_and_normalize(&mut v, &self.logit_mean);
-                        v
-                    })
-                    .collect();
                 contrastive(&q_pooled, &self.fp_pooled, self.tau)
-                    + contrastive(&q_logits, &self.fp_logits, self.tau)
+                    + contrastive(&centered_logits(), &self.fp_logits, self.tau)
             }
             ObjectiveKind::GlobalContrastive => {
-                let q_logits: Vec<Vec<f64>> = q_traces
-                    .iter()
-                    .map(|t| {
-                        let mut v: Vec<f64> =
-                            t.output.data().iter().map(|&x| f64::from(x)).collect();
-                        center_and_normalize(&mut v, &self.logit_mean);
-                        v
-                    })
-                    .collect();
-                contrastive(&q_logits, &self.fp_logits, self.tau)
+                contrastive(&centered_logits(), &self.fp_logits, self.tau)
             }
             ObjectiveKind::Mse => {
                 let mut acc = 0.0;
                 let mut count = 0usize;
-                for (t, fp) in q_traces.iter().zip(&self.fp_raw_logits) {
-                    for (&a, &b) in t.output.data().iter().zip(fp) {
+                for (f, fp) in q.iter().zip(&self.fp_raw_logits) {
+                    for (&a, &b) in f.logits.iter().zip(fp) {
                         let d = f64::from(a) - f64::from(b);
                         acc += d * d;
                         count += 1;
@@ -285,10 +312,10 @@ impl FitnessEvaluator {
             }
             ObjectiveKind::KlDivergence => {
                 let mut acc = 0.0;
-                for (t, fp) in q_traces.iter().zip(&self.fp_raw_logits) {
-                    acc += kl_div(fp, t.output.data());
+                for (f, fp) in q.iter().zip(&self.fp_raw_logits) {
+                    acc += kl_div(fp, &f.logits);
                 }
-                acc / q_traces.len().max(1) as f64
+                acc / q.len().max(1) as f64
             }
         }
     }
@@ -299,7 +326,13 @@ impl FitnessEvaluator {
     /// The divergence term is shifted to be strictly positive so the
     /// multiplicative combination preserves ordering.
     pub fn fitness(&self, q_traces: &[ForwardTrace], candidate: &Candidate) -> f64 {
-        let div = self.divergence(q_traces).max(1e-12);
+        let q: Vec<Features> = q_traces.iter().map(Features::of).collect();
+        self.fitness_of(&q, candidate)
+    }
+
+    /// [`FitnessEvaluator::fitness`] over pooled features.
+    pub fn fitness_of(&self, q: &[Features], candidate: &Candidate) -> f64 {
+        let div = self.divergence(q).max(1e-12);
         div * self.compression_term(candidate).powf(self.lambda)
     }
 }
@@ -368,6 +401,10 @@ mod tests {
         }
     }
 
+    fn features(traces: &[ForwardTrace]) -> Vec<Features> {
+        traces.iter().map(Features::of).collect()
+    }
+
     fn candidate(ns: &[u32]) -> Candidate {
         Candidate {
             layers: ns
@@ -431,10 +468,10 @@ mod tests {
             &fp,
             vec![10],
         );
-        let matched = eval.divergence(&fp);
+        let matched = eval.divergence(&features(&fp));
         // Shuffled: q features point at the wrong positives.
         let shuffled = vec![fp[1].clone(), fp[2].clone(), fp[0].clone()];
-        let mismatched = eval.divergence(&shuffled);
+        let mismatched = eval.divergence(&features(&shuffled));
         assert!(matched < mismatched, "{matched} vs {mismatched}");
     }
 
@@ -446,7 +483,7 @@ mod tests {
         ];
         for kind in [ObjectiveKind::Mse, ObjectiveKind::KlDivergence] {
             let eval = FitnessEvaluator::new(kind, 0.1, 0.4, &fp, vec![1]);
-            assert!(eval.divergence(&fp).abs() < 1e-12, "{kind:?}");
+            assert!(eval.divergence(&features(&fp)).abs() < 1e-12, "{kind:?}");
             assert!(!eval.needs_irs());
         }
     }
@@ -457,7 +494,7 @@ mod tests {
         let eval = FitnessEvaluator::new(ObjectiveKind::Mse, 0.1, 0.4, &fp, vec![1]);
         let small = vec![trace(vec![1.1, 2.0, 3.0], vec![])];
         let large = vec![trace(vec![2.0, 0.0, 5.0], vec![])];
-        assert!(eval.divergence(&small) < eval.divergence(&large));
+        assert!(eval.divergence(&features(&small)) < eval.divergence(&features(&large)));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! diversity-promoting selection, and evaluation / population update.
 
 use crate::activation::{derive_activation_params, SfRule};
-use crate::objective::{FitnessEvaluator, ObjectiveKind};
+use crate::objective::{kurtosis3, Features, FitnessEvaluator, ObjectiveKind};
 use crate::params::{Candidate, LayerParams};
-use dnn::graph::{ForwardTrace, Model, QuantScheme};
+use dnn::graph::{LayerObserver, Model, QuantScheme, Snapshot};
 use dnn::tensor::Tensor;
 use lp::format::LpParams;
 use rand::SeedableRng;
@@ -13,6 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use serve::pool::par_map_pooled;
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Search hyper-parameters (§6: K = 20, P = 10, C = 4, B = 4 for CNNs and
 /// one attention block for transformers, 5 diversity children, λ = 0.4).
@@ -115,6 +116,8 @@ pub struct LpqResult {
     pub best_history: Vec<Candidate>,
     /// Total candidate evaluations performed.
     pub evaluations: usize,
+    /// Where the evaluations spent their time.
+    pub profile: EvalProfile,
 }
 
 impl LpqResult {
@@ -160,21 +163,141 @@ pub fn scheme_from(weights: &Candidate, acts: Option<&[LayerParams]>) -> QuantSc
     )
 }
 
+/// Calibration images per batched forward: the batch interpreter
+/// amortizes each GEMM layer over the chunk, and 32 images make 4 chunks,
+/// enough for the pool to keep every core busy.
+const CALIB_BATCH: usize = 8;
+
+/// Where an LPQ search's candidate evaluations spent their time, summed
+/// over every evaluation.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EvalProfile {
+    /// Resolving genomes and quantizing weights, decode-table builds
+    /// included.
+    pub quantize_ms: f64,
+    /// Calibration forward passes, kurtosis pooling inside them included.
+    pub forward_ms: f64,
+    /// The fitness over the pooled features.
+    pub fitness_ms: f64,
+    /// Graph nodes × calibration images the evaluations had to compute.
+    pub nodes_total: u64,
+    /// Of those, the ones resumed from a cached prefix instead.
+    pub nodes_resumed: u64,
+}
+
+impl EvalProfile {
+    /// Share of calibration node work resumed from a snapshot, in `[0, 1]`.
+    pub fn resumed_share(&self) -> f64 {
+        self.nodes_resumed as f64 / self.nodes_total.max(1) as f64
+    }
+}
+
+/// One candidate's cached calibration prefix, which later candidates that
+/// share its leading genes resume from.
+#[derive(Debug, Clone)]
+struct Prefix {
+    /// The genome the values were computed under.
+    genes: Candidate,
+    /// Per regeneration block after the first: one snapshot per
+    /// calibration chunk at the block's first weighted layer. A child
+    /// shares its parent's entries up to the block it regenerated.
+    marks: Vec<Arc<Vec<Snapshot>>>,
+    /// Pooled features per calibration image.
+    features: Vec<Features>,
+}
+
+/// The calibration observer: pools each element's weighted-layer outputs
+/// into [`kurtosis3`] as the forward produces them, keeps the first
+/// `keep_irs` elements' outputs whole, and takes the snapshots asked for.
+struct CalibObserver<'a> {
+    pool: bool,
+    /// `pooled[e]`: element `e`'s kurtosis per observed layer.
+    pooled: Vec<Vec<f64>>,
+    keep_irs: usize,
+    /// `irs[l][e]`: layer `l`'s output for kept element `e`.
+    irs: Vec<Vec<Tensor>>,
+    /// Weighted layers to snapshot at, ascending.
+    snap_at: &'a [usize],
+    snaps: Vec<Snapshot>,
+}
+
+impl<'a> CalibObserver<'a> {
+    fn new(batch: usize, pool: bool, keep_irs: usize, snap_at: &'a [usize]) -> Self {
+        CalibObserver {
+            pool,
+            pooled: vec![Vec::new(); batch],
+            keep_irs,
+            irs: Vec::new(),
+            snap_at,
+            snaps: Vec::new(),
+        }
+    }
+}
+
+impl LayerObserver for CalibObserver<'_> {
+    fn layer_output(&mut self, _layer: usize, outs: &[Tensor]) {
+        if self.pool {
+            for (p, t) in self.pooled.iter_mut().zip(outs) {
+                p.push(kurtosis3(t.data()));
+            }
+        }
+        if self.keep_irs > 0 {
+            self.irs
+                .push(outs[..self.keep_irs.min(outs.len())].to_vec());
+        }
+    }
+
+    fn wants_snapshot(&self, layer: usize) -> bool {
+        self.snap_at.contains(&layer)
+    }
+
+    fn snapshot(&mut self, snap: Snapshot) {
+        self.snaps.push(snap);
+    }
+}
+
+/// The first weighted layer at which two genomes differ (their length if
+/// none does). Scale factors compare by bits.
+fn first_difference(a: &Candidate, b: &Candidate) -> usize {
+    a.layers
+        .iter()
+        .zip(&b.layers)
+        .position(|(x, y)| (x.n, x.es, x.rs, x.sf.to_bits()) != (y.n, y.es, y.rs, y.sf.to_bits()))
+        .unwrap_or(a.len())
+}
+
 /// The LPQ search engine, bound to a model and calibration data.
+///
+/// Evaluations pay only for what a candidate changed: the engine keeps the
+/// current best candidate's calibration prefix (node snapshots at each
+/// block start, plus its pooled features), and a candidate that shares
+/// leading genes with it resumes each calibration forward from the latest
+/// snapshot at or before its first differing layer. The same ops run on
+/// the same values, so every fitness is bit-identical to a full
+/// evaluation.
 pub struct Lpq<'m> {
     model: &'m Model,
     cfg: LpqConfig,
-    calib: Vec<Tensor>,
+    /// Calibration images in chunks of [`CALIB_BATCH`].
+    calib: Vec<Vec<Tensor>>,
     evaluator: FitnessEvaluator,
     sf_centers: Vec<f64>,
     /// Per-layer `log2(max|w|)` used for saturation-aware sf resolution.
     weight_max_log: Vec<f64>,
     blocks: Vec<Range<usize>>,
+    /// First weighted layer of each block after the first: where prefixes
+    /// keep snapshots.
+    marks: Vec<usize>,
+    /// Node count of the graph, for the resumed-work share.
+    nodes: u64,
     /// Per-layer concatenated FP activations for activation-sf fitting.
     layer_acts: Vec<Tensor>,
     /// Quantized-weight cache shared by every candidate scheme of this
     /// search: generations only re-quantize layers whose genes changed.
     weight_cache: Arc<dnn::graph::WeightCache>,
+    /// The current best candidate's prefix, once the search has one.
+    best: Option<Prefix>,
+    profile: EvalProfile,
     rng: ChaCha8Rng,
     evaluations: usize,
 }
@@ -193,16 +316,33 @@ impl<'m> Lpq<'m> {
 
     /// Like [`Lpq::new`] with explicit calibration inputs.
     pub fn with_calibration(model: &'m Model, cfg: LpqConfig, calib: Vec<Tensor>) -> Self {
-        // Calibration forward passes are independent; fan them out on the
-        // pooled work-stealing executor (candidate evaluation below rides
-        // the same pool, so a whole search reuses one set of workers).
-        let fp_traces: Vec<ForwardTrace> =
-            par_map_pooled(&calib, |x| model.forward_traced(x, None, true));
-        let evaluator = FitnessEvaluator::new(
+        // Calibration forwards run as batched chunks on the pooled
+        // work-stealing executor (candidate evaluation below rides the
+        // same pool, so a whole search reuses one set of workers). Only
+        // the images activation fitting concatenates keep their IRs whole.
+        const FIT_IMAGES: usize = 8;
+        let calib: Vec<Vec<Tensor>> = calib.chunks(CALIB_BATCH).map(<[Tensor]>::to_vec).collect();
+        let chunks: Vec<usize> = (0..calib.len()).collect();
+        let fp_chunks = par_map_pooled(&chunks, |&c| {
+            let keep = FIT_IMAGES.saturating_sub(c * CALIB_BATCH);
+            let mut obs = CalibObserver::new(calib[c].len(), true, keep, &[]);
+            let logits = model.forward_observed(&calib[c], None, &mut obs);
+            (obs, logits)
+        });
+        let fp: Vec<Features> = fp_chunks
+            .iter()
+            .flat_map(|(obs, logits)| {
+                obs.pooled.iter().zip(logits).map(|(p, l)| Features {
+                    pooled: p.clone(),
+                    logits: l.data().to_vec(),
+                })
+            })
+            .collect();
+        let evaluator = FitnessEvaluator::from_features(
             cfg.objective,
             cfg.tau,
             cfg.lambda,
-            &fp_traces,
+            &fp,
             model.layer_param_counts(),
         );
         // Concatenate up to 8 images' IRs per layer for activation fitting.
@@ -210,8 +350,12 @@ impl<'m> Lpq<'m> {
         let mut layer_acts = Vec::with_capacity(layers);
         for l in 0..layers {
             let mut buf = Vec::new();
-            for t in fp_traces.iter().take(8) {
-                buf.extend_from_slice(t.irs[l].data());
+            for t in fp_chunks
+                .iter()
+                .filter_map(|(obs, _)| obs.irs.get(l))
+                .flatten()
+            {
+                buf.extend_from_slice(t.data());
             }
             let len = buf.len();
             layer_acts.push(Tensor::from_vec(&[len], buf));
@@ -232,6 +376,7 @@ impl<'m> Lpq<'m> {
             })
             .collect();
         let blocks = make_blocks(model, cfg.block_size);
+        let marks = blocks.iter().skip(1).map(|b| b.start).collect();
         let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         Lpq {
             model,
@@ -241,8 +386,12 @@ impl<'m> Lpq<'m> {
             sf_centers,
             weight_max_log,
             blocks,
+            marks,
+            nodes: model.nodes().len() as u64,
             layer_acts,
             weight_cache: Arc::default(),
+            best: None,
+            profile: EvalProfile::default(),
             rng,
             evaluations: 0,
         }
@@ -295,13 +444,87 @@ impl<'m> Lpq<'m> {
 
     /// Evaluates one candidate's fitness (lower is better).
     pub fn evaluate(&mut self, cand: &Candidate) -> f64 {
+        self.evaluate_prefix(cand).0
+    }
+
+    /// Evaluates a candidate, resuming from the best candidate's prefix
+    /// where their genes agree, and returns the fitness with the
+    /// candidate's own prefix.
+    fn evaluate_prefix(&mut self, cand: &Candidate) -> (f64, Prefix) {
         self.evaluations += 1;
-        let scheme = self.resolved_scheme(cand);
-        let qm = self.model.quantize_weights(&scheme);
-        let needs_irs = self.evaluator.needs_irs();
-        let traces: Vec<ForwardTrace> =
-            par_map_pooled(&self.calib, |x| qm.forward_traced(x, None, needs_irs));
-        self.evaluator.fitness(&traces, cand)
+        let t = Instant::now();
+        // Resume from the latest mark at or before the first differing
+        // layer; `m` prefix marks are shared.
+        let (d, m) = match &self.best {
+            Some(best) => {
+                let d = first_difference(&best.genes, cand);
+                (d, self.marks.partition_point(|&l| l <= d))
+            }
+            None => (0, 0),
+        };
+        let images: u64 = self.calib.iter().map(|c| c.len() as u64).sum();
+        self.profile.nodes_total += self.nodes * images;
+        let mut quantized = t;
+        let prefix = match &self.best {
+            // The best's own genome: nothing to recompute.
+            Some(best) if d == cand.len() => {
+                self.profile.nodes_resumed += self.nodes * images;
+                best.clone()
+            }
+            best => {
+                let qm = self.model.quantize_weights(&self.resolved_scheme(cand));
+                quantized = Instant::now();
+                let resume = best.as_ref().filter(|_| m > 0).map(|b| &b.marks[m - 1]);
+                let from = resume.map_or(0, |snaps| snaps[0].layer());
+                let skipped = resume.map_or(0, |snaps| snaps[0].node() as u64);
+                self.profile.nodes_resumed += skipped * images;
+                let pool = self.evaluator.needs_irs();
+                let snap_at = &self.marks[m..];
+                let chunks: Vec<usize> = (0..self.calib.len()).collect();
+                let ran = par_map_pooled(&chunks, |&c| {
+                    let mut obs = CalibObserver::new(self.calib[c].len(), pool, 0, snap_at);
+                    let logits = match resume {
+                        Some(snaps) => qm.resume_observed(&snaps[c], None, &mut obs),
+                        None => qm.forward_observed(&self.calib[c], None, &mut obs),
+                    };
+                    (obs, logits)
+                });
+                let mut features = Vec::with_capacity(images as usize);
+                for (obs, logits) in &ran {
+                    for (tail, out) in obs.pooled.iter().zip(logits) {
+                        let i = features.len();
+                        let pooled = match best {
+                            Some(b) if pool => [&b.features[i].pooled[..from], tail].concat(),
+                            _ => tail.clone(),
+                        };
+                        features.push(Features {
+                            pooled,
+                            logits: out.data().to_vec(),
+                        });
+                    }
+                }
+                let mut marks: Vec<Arc<Vec<Snapshot>>> =
+                    best.as_ref().map_or(&[][..], |b| &b.marks[..m]).to_vec();
+                let mut fresh: Vec<Vec<Snapshot>> = vec![Vec::new(); snap_at.len()];
+                for (obs, _) in ran {
+                    for (slot, snap) in fresh.iter_mut().zip(obs.snaps) {
+                        slot.push(snap);
+                    }
+                }
+                marks.extend(fresh.into_iter().map(Arc::new));
+                Prefix {
+                    genes: cand.clone(),
+                    marks,
+                    features,
+                }
+            }
+        };
+        let forwarded = Instant::now();
+        let fitness = self.evaluator.fitness_of(&prefix.features, cand);
+        self.profile.quantize_ms += ms_between(t, quantized);
+        self.profile.forward_ms += ms_between(quantized, forwarded);
+        self.profile.fitness_ms += ms_between(forwarded, Instant::now());
+        (fitness, prefix)
     }
 
     /// Runs the full four-step search and derives activation parameters for
@@ -309,7 +532,8 @@ impl<'m> Lpq<'m> {
     pub fn run(mut self) -> LpqResult {
         let layers = self.model.num_quant_layers();
         // Step 1: candidate initialization. K − 1 random candidates plus an
-        // all-8-bit anchor (a known-safe starting point).
+        // all-8-bit anchor (a known-safe starting point). The best so far
+        // keeps its prefix.
         let mut population: Vec<(Candidate, f64)> = Vec::new();
         let anchor = Candidate {
             layers: self
@@ -318,16 +542,22 @@ impl<'m> Lpq<'m> {
                 .map(|&c| LayerParams::clamped(8, 2, 3, c, self.cfg.hw_constrained))
                 .collect(),
         };
-        let anchor_fit = self.evaluate(&anchor);
-        population.push((anchor, anchor_fit));
+        let mut inits = vec![anchor];
         for _ in 1..self.cfg.population {
-            let c = Candidate::random(
+            inits.push(Candidate::random(
                 &mut self.rng,
                 &self.sf_centers,
                 self.cfg.sf_radius,
                 self.cfg.hw_constrained,
-            );
-            let f = self.evaluate(&c);
+            ));
+        }
+        let mut best_fit = f64::INFINITY;
+        for c in inits {
+            let (f, prefix) = self.evaluate_prefix(&c);
+            if self.best.is_none() || f < best_fit {
+                best_fit = f;
+                self.best = Some(prefix);
+            }
             population.push((c, f));
         }
         let mut fitness_history = Vec::new();
@@ -368,26 +598,43 @@ impl<'m> Lpq<'m> {
                             self.cfg.hw_constrained,
                         ));
                     }
-                    // Step 4: evaluation and population update.
-                    let child_fit = self.evaluate(&child);
+                    // Step 4: evaluation and population update. Prefixes
+                    // held: the best's, the child's and the best diversity
+                    // child's so far.
+                    let (child_fit, child_prefix) = self.evaluate_prefix(&child);
                     population.push((child, child_fit));
-                    let mut best_div: Option<(Candidate, f64)> = None;
+                    let mut best_div: Option<(Candidate, f64, Prefix)> = None;
                     for d in diverse {
-                        let f = self.evaluate(&d);
-                        if best_div.as_ref().is_none_or(|(_, bf)| f < *bf) {
-                            best_div = Some((d, f));
+                        let (f, prefix) = self.evaluate_prefix(&d);
+                        if best_div.as_ref().is_none_or(|(_, bf, _)| f < *bf) {
+                            best_div = Some((d, f, prefix));
                         }
                     }
-                    if let Some(bd) = best_div {
-                        population.push(bd);
+                    let mut div_prefix = None;
+                    if let Some((d, f, prefix)) = best_div {
+                        population.push((d, f));
+                        div_prefix = Some(prefix);
                     }
                     population.sort_by(|a, b| a.1.total_cmp(&b.1));
                     population.truncate(self.cfg.max_population);
+                    // The new best is the old one, the child or the best
+                    // diversity child; keep whichever prefix it owns.
+                    let leader = &population[0].0;
+                    if let Some(p) = [Some(child_prefix), div_prefix]
+                        .into_iter()
+                        .flatten()
+                        .find(|p| p.genes == *leader)
+                    {
+                        if self.best.as_ref().is_none_or(|b| b.genes != *leader) {
+                            self.best = Some(p);
+                        }
+                    }
                     fitness_history.push(population[0].1);
                     best_history.push(population[0].0.clone());
                 }
             }
         }
+        self.best = None;
         population.sort_by(|a, b| a.1.total_cmp(&b.1));
         let best = population
             .into_iter()
@@ -413,8 +660,14 @@ impl<'m> Lpq<'m> {
             fitness_history,
             best_history,
             evaluations: self.evaluations,
+            profile: self.profile,
         }
     }
+}
+
+/// Milliseconds from `a` to `b`.
+fn ms_between(a: Instant, b: Instant) -> f64 {
+    b.duration_since(a).as_secs_f64() * 1e3
 }
 
 /// Splits the model's weighted layers into regeneration blocks: fixed-size

@@ -27,6 +27,17 @@ fn main() {
         "searched {} candidates; avg weight bits {:.2}, activation bits {:.2}",
         result.evaluations, result.avg_weight_bits, result.avg_activation_bits
     );
+    let p = result.profile;
+    let per_eval = |ms: f64| ms / result.evaluations.max(1) as f64;
+    println!(
+        "per evaluation: weight quantization {:.2} ms (table builds included), calibration \
+         forwards {:.2} ms, fitness {:.2} ms; {:.1}% of calibration node work resumed from \
+         a cached prefix",
+        per_eval(p.quantize_ms),
+        per_eval(p.forward_ms),
+        per_eval(p.fitness_ms),
+        100.0 * p.resumed_share()
+    );
     println!(
         "per-layer weight bits: {:?}",
         result.best.layers.iter().map(|l| l.n).collect::<Vec<_>>()
