@@ -10,7 +10,10 @@
 //!    written to `BENCH_codec.json` so the perf trajectory is
 //!    machine-trackable across PRs.
 //!
-//! Run with `cargo bench --bench codec`. `CODEC_BENCH_ELEMS` sets the
+//! Run with `cargo bench --bench codec`. The JSON goes under
+//! `target/bench/`; `cargo bench --bench codec -- --out ../..` refreshes
+//! the committed copy (cargo runs benches from the package directory).
+//! `CODEC_BENCH_ELEMS` sets the
 //! comparison tensor size (default 1,000,000; CI smoke runs use a small
 //! value so the gate is correctness + metric sanity, not throughput).
 //! `LP_PORTABLE_KERNELS=1` forces the portable tier; the JSON records
@@ -281,12 +284,10 @@ fn write_json(rows: &[Comparison], elements: usize) {
         ));
     }
     out.push_str("  ]\n}\n");
-    // cargo bench runs with the package as CWD; anchor the report at the
-    // workspace root where the perf trajectory is tracked.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json");
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("\nwrote BENCH_codec.json"),
-        Err(e) => eprintln!("could not write BENCH_codec.json: {e}"),
+    let path = bench::artifact_path("BENCH_codec.json");
+    match std::fs::write(&path, &out) {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 

@@ -1,9 +1,11 @@
 //! GEMM kernel benchmark: naive dot-product loop vs the blocked saxpy
 //! kernel vs the register-tiled microkernel (the production `matmul_t`)
-//! vs the packed (code-decoding) kernel, plus a batch-amortization study,
-//! writing `BENCH_gemm.json` at the workspace root.
+//! vs the packed (code-decoding) kernel, a batch-amortization study and
+//! the im2col fill that feeds the convolution GEMMs, writing
+//! `BENCH_gemm.json` under `target/bench/` (or the directory given as
+//! `--out <dir>`).
 //!
-//! Three questions this answers with numbers:
+//! Four questions this answers with numbers:
 //!
 //! 1. **Kernel shape** — how much the blocked panel kernel gains over the
 //!    retired naive baseline on a square layer-sized product.
@@ -17,6 +19,10 @@
 //!    input, which is the `forward_batch` win on rank-1 layers. Batch 2
 //!    pins the packed crossover: at batch 1 the decode cost is amortized
 //!    over a single matvec.
+//! 4. **im2col fill** — what `dnn::graph::im2col` costs per operand
+//!    element at B=8 on every resnet18 conv shape, on mobilenetv2's
+//!    pointwise shapes and on deit_s's patch embedding, each checked bit
+//!    for bit against `im2col_oracle` first.
 //!
 //! Environment knobs: `GEMM_BENCH_SIZE` (square size, default 256),
 //! `GEMM_BENCH_DIM` (batch-study layer width, default 512),
@@ -25,9 +31,33 @@
 //! `LP_PORTABLE_KERNELS=1` to force the portable tier. CI runs the smoke
 //! configuration (tiny sizes); defaults produce the README numbers.
 
+use dnn::graph::{im2col, im2col_oracle};
 use dnn::tensor::{QTensor, Tensor};
 use lp::format::LpParams;
 use std::time::Instant;
+
+/// The im2col window shapes timed in part 3, as `(c, h, w, k, stride,
+/// pad)`: an image `[c, h, w]` under a `k × k` kernel. Rows 1–8 are
+/// resnet18's 3×3 convs, rows 9–11 its strided 1×1 downsample skips,
+/// rows 12–14 mobilenetv2's pointwise 1×1 convs, and the last deit_s's
+/// 4×4 patch embedding.
+const FILL_SHAPES: [(usize, usize, usize, usize, usize, usize); 15] = [
+    (3, 16, 16, 3, 1, 1),
+    (8, 16, 16, 3, 1, 1),
+    (8, 16, 16, 3, 2, 1),
+    (16, 8, 8, 3, 1, 1),
+    (16, 8, 8, 3, 2, 1),
+    (32, 4, 4, 3, 1, 1),
+    (32, 4, 4, 3, 2, 1),
+    (64, 2, 2, 3, 1, 1),
+    (8, 16, 16, 1, 2, 0),
+    (16, 8, 8, 1, 2, 0),
+    (32, 4, 4, 1, 2, 0),
+    (8, 16, 16, 1, 1, 0),
+    (32, 8, 8, 1, 1, 0),
+    (64, 2, 2, 1, 1, 0),
+    (3, 16, 16, 4, 4, 0),
+];
 
 /// Best-of-`reps` wall time of `f`, with the result kept live.
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -145,6 +175,41 @@ fn main() {
         rows.push(row);
     }
 
+    // ------------------------------------------------------------------
+    // Part 3: the im2col fill at B=8, checked against the oracle.
+    // ------------------------------------------------------------------
+    const FILL_BATCH: usize = 8;
+    let mut fills = Vec::new();
+    for (i, &(c, h, w, k, stride, pad)) in FILL_SHAPES.iter().enumerate() {
+        let images: Vec<Tensor> = (0..FILL_BATCH)
+            .map(|e| bench::pseudo_tensor(&[c, h, w], (i * FILL_BATCH + e) as f32))
+            .collect();
+        let xs: Vec<&Tensor> = images.iter().collect();
+        let got = im2col(&xs, k, k, stride, pad);
+        let want: Vec<f32> = images
+            .iter()
+            .flat_map(|x| im2col_oracle(x, k, k, stride, pad))
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let shape = format!("{c}x{h}x{w} k{k} s{stride} p{pad}");
+        assert_eq!(
+            bits(got.data()),
+            bits(&want),
+            "im2col {shape} diverged from the oracle"
+        );
+        // Enough calls per rep for ~`iters`·200k operand elements.
+        let elems = got.len();
+        let calls = (iters * 200_000).div_ceil(elems);
+        let secs = best_of(reps, || {
+            for _ in 0..calls {
+                std::hint::black_box(im2col(std::hint::black_box(&xs), k, k, stride, pad));
+            }
+        });
+        let ns_per_elem = secs * 1e9 / (calls * elems) as f64;
+        println!("im2col {shape:<20} B={FILL_BATCH}: {ns_per_elem:.3} ns/elem ({elems} elems)");
+        fills.push((shape, elems, ns_per_elem));
+    }
+
     // Fail loudly on broken measurements before writing the artifact.
     bench::check_metric("naive_s", naive_s);
     bench::check_metric("blocked_s", blocked_s);
@@ -156,6 +221,9 @@ fn main() {
         bench::check_metric("per_input_dense_us", r.per_input_dense_us);
         bench::check_metric("batched_dense_us", r.batched_dense_us);
         bench::check_metric("batched_packed_us", r.batched_packed_us);
+    }
+    for (shape, _, ns_per_elem) in &fills {
+        bench::check_metric(&format!("im2col {shape} ns_per_elem"), *ns_per_elem);
     }
 
     let mut out = String::from("{\n");
@@ -190,8 +258,19 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
+    out.push_str("    ]\n  },\n");
+    out.push_str("  \"im2col\": {\n");
+    out.push_str(&format!("    \"batch\": {FILL_BATCH},\n"));
+    out.push_str("    \"shapes\": [\n");
+    for (i, (shape, elems, ns_per_elem)) in fills.iter().enumerate() {
+        out.push_str(&format!(
+            "      {{\"shape\": \"{shape}\", \"elems\": {elems}, \
+             \"ns_per_elem\": {ns_per_elem:.4}}}{}\n",
+            if i + 1 == fills.len() { "" } else { "," }
+        ));
+    }
     out.push_str("    ]\n  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    std::fs::write(path, &out).expect("could not write BENCH_gemm.json");
-    println!("wrote BENCH_gemm.json");
+    let path = bench::artifact_path("BENCH_gemm.json");
+    std::fs::write(&path, &out).expect("could not write BENCH_gemm.json");
+    println!("wrote {}", path.display());
 }

@@ -1,7 +1,8 @@
 //! Multi-model batch-inference serving benchmark.
 //!
 //! Exercises the whole `serve` subsystem end to end and writes
-//! `BENCH_serve.json` at the workspace root:
+//! `BENCH_serve.json` (under `target/bench/`, or the directory given as
+//! `--out <dir>`):
 //!
 //! 1. **Batched vs per-input serving** — the same model + scheme served
 //!    two ways on identical load: the retired per-input fan-out over a
@@ -41,7 +42,7 @@
 //!    (`serve::trace::set_enabled`, interleaved reps, best of each),
 //!    asserting the traced path costs less than the configured overhead
 //!    budget; a short traced run is then exported as Chrome trace-event
-//!    JSON to `TRACE_serve.json` at the workspace root (load it in
+//!    JSON to `TRACE_serve.json` beside `BENCH_serve.json` (load it in
 //!    Perfetto / `chrome://tracing`).
 //!
 //! Environment knobs (all optional): `SERVE_BENCH_REQUESTS` (total
@@ -1458,10 +1459,10 @@ fn main() {
         let tstats = trace::stats();
         trace::set_enabled(was);
         server.shutdown();
-        let trace_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_serve.json");
-        match std::fs::write(trace_path, &chrome) {
-            Ok(()) => println!("wrote TRACE_serve.json ({} bytes)", chrome.len()),
-            Err(e) => eprintln!("could not write TRACE_serve.json: {e}"),
+        let trace_path = bench::artifact_path("TRACE_serve.json");
+        match std::fs::write(&trace_path, &chrome) {
+            Ok(()) => println!("wrote {} ({} bytes)", trace_path.display(), chrome.len()),
+            Err(e) => eprintln!("could not write {}: {e}", trace_path.display()),
         }
         TraceOverhead {
             requests: trace_requests,
@@ -1568,7 +1569,6 @@ fn main() {
         &pool_stats,
         &trace_oh,
     );
-    println!("wrote BENCH_serve.json");
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2004,9 +2004,9 @@ fn write_json(
         pool_stats.external.steal_failures
     ));
     out.push_str("  }\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    match std::fs::write(path, &out) {
-        Ok(()) => {}
-        Err(e) => eprintln!("could not write BENCH_serve.json: {e}"),
+    let path = bench::artifact_path("BENCH_serve.json");
+    match std::fs::write(&path, &out) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }

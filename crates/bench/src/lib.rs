@@ -12,6 +12,7 @@ use dnn::{data, models};
 use lp::format::LpParams;
 use lp::quantizer::{fit_quantizer, FormatKind};
 use lpq::search::{Lpq, LpqConfig, LpqResult};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// A fully evaluated quantization run on one model.
@@ -192,6 +193,30 @@ pub fn check_metric(name: &str, value: f64) {
         value.is_finite() && value > 0.0,
         "bench metric {name} = {value} is not finite-positive; refusing to write broken JSON"
     );
+}
+
+/// Where a bench writes its JSON artifact `name`: under `--out <dir>`
+/// when the command line names one (`--out .` from the repository root
+/// refreshes the committed copies), else under the workspace's
+/// `target/bench/`, so smoke and local runs leave the source tree as it
+/// was.
+///
+/// # Panics
+///
+/// Panics if `--out` has no value or the directory cannot be created.
+pub fn artifact_path(name: &str) -> PathBuf {
+    let mut args = std::env::args().skip(1);
+    let mut dir = None;
+    while let Some(arg) = args.next() {
+        if arg == "--out" {
+            dir = Some(PathBuf::from(args.next().expect("--out needs a directory")));
+        }
+    }
+    let dir =
+        dir.unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench"));
+    std::fs::create_dir_all(&dir)
+        .unwrap_or_else(|e| panic!("could not create {}: {e}", dir.display()));
+    dir.join(name)
 }
 
 /// The quick/paper preset name currently selected by the environment.

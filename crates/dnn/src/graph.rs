@@ -1195,10 +1195,6 @@ fn gelu_in_place(xs: &mut [f32]) {
     });
 }
 
-fn out_dim(dim: usize, k: usize, stride: usize, pad: usize) -> usize {
-    (dim + 2 * pad - k) / stride + 1
-}
-
 /// Stacks per-element `(rows, row_data)` blocks into one `[ΣR, cols]`
 /// product against `w` and re-splits the result rows per element — the
 /// one-GEMM-per-layer core of [`Model::forward_batch`]. The blocked
@@ -1252,9 +1248,28 @@ struct Window {
 }
 
 impl Window {
+    /// The sweep of a `kh × kw` kernel at `stride` over a padded `image`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `image` is `[c, h, w]`, the kernel sides and the
+    /// stride are positive, and the kernel fits the padded image on both
+    /// axes: a larger window has no output position.
     fn new(image: &[usize], kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
         assert_eq!(image.len(), 3, "sliding windows need a [c, h, w] image");
         let (c, h, w) = (image[0], image[1], image[2]);
+        let out_dim = |dim: usize, k: usize| {
+            (dim + 2 * pad)
+                .checked_sub(k)
+                .filter(|_| k > 0 && stride > 0)
+                .map(|span| span / stride + 1)
+                .unwrap_or_else(|| {
+                    panic!(
+                        "a {kh}x{kw} window at stride {stride}, pad {pad} \
+                         does not fit a {c}x{h}x{w} image"
+                    )
+                })
+        };
         Window {
             c,
             h,
@@ -1263,8 +1278,8 @@ impl Window {
             kw,
             stride,
             pad,
-            oh: out_dim(h, kh, stride, pad),
-            ow: out_dim(w, kw, stride, pad),
+            oh: out_dim(h, kh),
+            ow: out_dim(w, kw),
         }
     }
 
@@ -1298,58 +1313,74 @@ impl Window {
         (lo..hi.max(lo), (lo * s + k).saturating_sub(self.pad))
     }
 
-    /// Writes one image's im2col rows `[oh·ow, c·kh·kw]` (each row laid out
-    /// `[c][ky][kx]`) into `dst`, which must arrive zeroed: padded taps are
-    /// left as those `+0.0`s, exactly the zeros a padded image supplies.
-    fn im2col_into(&self, x: &[f32], dst: &mut [f32]) {
-        match (self.kh, self.kw, self.pad) {
-            (1, 1, 0) => self.transpose_into(x, dst),
-            _ => self.gather_into(x, dst),
+    /// Copies image `x` into the interior of `padded`, the image with its
+    /// padding written out (`[c, h + 2·pad, w + 2·pad]`). The border is
+    /// not touched: it keeps the `+0.0`s the buffer was created with.
+    fn pad_into(&self, x: &[f32], padded: &mut [f32]) {
+        let Window { h, w, pad, .. } = *self;
+        let wp = w + 2 * pad;
+        for (plane, xc) in padded
+            .chunks_exact_mut((h + 2 * pad) * wp)
+            .zip(x.chunks_exact(h * w))
+        {
+            for (row, src) in plane.chunks_exact_mut(wp).skip(pad).zip(xc.chunks_exact(w)) {
+                row[pad..pad + w].copy_from_slice(src);
+            }
         }
     }
 
-    /// The im2col fill of a 1×1 unpadded window: a strided
-    /// `[c, h·w] → [pos, c]` transpose.
-    fn transpose_into(&self, x: &[f32], dst: &mut [f32]) {
+    /// Writes one image's im2col rows `[oh·ow, c·kh·kw]` (each row laid out
+    /// `[c][ky][kx]`) into `dst`. `x` is the image with its padding
+    /// written out ([`Window::pad_into`]), so every window lies wholly
+    /// inside it and every element of `dst` is written. The fill is a pure
+    /// copy: every bit of the image, NaN payloads included, reaches the
+    /// operand unchanged, and every padded tap is a `+0.0` of the border.
+    fn im2col_into(&self, x: &[f32], dst: &mut [f32]) {
+        match (self.kh, self.kw) {
+            (1, 1) => self.fill_rows::<1, 1>(x, dst),
+            (2, 2) => self.fill_rows::<2, 2>(x, dst),
+            (3, 3) => self.fill_rows::<3, 3>(x, dst),
+            (4, 4) => self.fill_rows::<4, 4>(x, dst),
+            _ => self.fill_rows::<0, 0>(x, dst),
+        }
+    }
+
+    /// [`Window::im2col_into`] for a `KH × KW` kernel (`0 × 0`: any
+    /// shape). Each output position's im2col row is written front to
+    /// back, one channel's `KH × KW` block at a time: `KH` windows of `KW`
+    /// taps, read from consecutive padded input rows. With the sides known
+    /// at compile time every window is a copy of constant width, compiled
+    /// to plain moves rather than a call.
+    // Out of line on purpose: inlined into `im2col_stacked`, the same
+    // loop measured 1.3–1.6× slower on 1×1 windows and 2×2 maps.
+    #[inline(never)]
+    fn fill_rows<const KH: usize, const KW: usize>(&self, x: &[f32], dst: &mut [f32]) {
         let Window {
             c,
             h,
             w,
             stride,
+            pad,
             ow,
             ..
         } = *self;
-        for (ch, xc) in x.chunks_exact(h * w).enumerate() {
-            for (oy, drow) in dst.chunks_exact_mut(ow * c).enumerate() {
-                let src = xc[oy * stride * w..].iter().step_by(stride);
-                for (d, &v) in drow[ch..].iter_mut().step_by(c).zip(src) {
-                    *d = v;
-                }
-            }
-        }
-    }
-
-    /// The general im2col fill. Each output row's and column's in-bounds
-    /// tap ranges are resolved once, and each contiguous `kx` run of each
-    /// `(c, ky)` is one slice copy.
-    fn gather_into(&self, x: &[f32], dst: &mut [f32]) {
-        let Window {
-            h, w, kh, kw, ow, ..
-        } = *self;
-        let (hw, kk, plen) = (h * w, kh * kw, self.patch_len());
-        for oy in 0..self.oh {
-            let (ky_taps, iy) = self.taps(oy, kh, h);
-            for ox in 0..ow {
-                let (kx_taps, ix) = self.taps(ox, kw, w);
-                if kx_taps.is_empty() {
-                    continue;
-                }
-                let row = &mut dst[(oy * ow + ox) * plen..][..plen];
-                let corner = iy * w + ix;
-                for (block, xc) in row.chunks_exact_mut(kk).zip(x.chunks_exact(hw)) {
-                    for (dy, ky) in ky_taps.clone().enumerate() {
-                        let src = &xc[corner + dy * w..][..kx_taps.len()];
-                        block[ky * kw + kx_taps.start..][..src.len()].copy_from_slice(src);
+        let (kh, kw) = if KW == 0 {
+            (self.kh, self.kw)
+        } else {
+            (KH, KW)
+        };
+        let (plen, hp, wp) = (self.patch_len(), h + 2 * pad, w + 2 * pad);
+        // Per output row, where each channel's first kernel row starts.
+        let mut planes = Vec::with_capacity(c);
+        for (oy, rows) in dst.chunks_exact_mut(ow * plen).enumerate() {
+            planes.clear();
+            planes.extend((0..c).map(|ch| (ch * hp + oy * stride) * wp));
+            for (ox, row) in rows.chunks_exact_mut(plen).enumerate() {
+                let ix = ox * stride;
+                for (block, &at) in row.chunks_exact_mut(kh * kw).zip(&planes) {
+                    let src = &x[at + ix..at + ix + (kh - 1) * wp + kw];
+                    for (ky, taps) in block.chunks_exact_mut(kw).enumerate() {
+                        taps.copy_from_slice(&src[ky * wp..ky * wp + kw]);
                     }
                 }
             }
@@ -1358,20 +1389,44 @@ impl Window {
 }
 
 /// The im2col rows of a whole batch, filled straight into the stacked GEMM
-/// operand `[B·oh·ow, c·kh·kw]`: one zeroed buffer per layer, each image's
-/// rows written in place.
+/// operand `[B·oh·ow, c·kh·kw]`: one buffer per layer, each image's rows
+/// written in place. A padded window reads every image through one
+/// zero-bordered copy per layer, whose interior each image rewrites.
 fn im2col_stacked(xs: &[&Tensor], win: &Window) -> Tensor {
     let block = win.positions() * win.patch_len();
     let mut cols = vec![0.0f32; xs.len() * block];
+    let padded_len = win.c * (win.h + 2 * win.pad) * (win.w + 2 * win.pad);
+    let mut padded = vec![0.0f32; if win.pad > 0 { padded_len } else { 0 }];
     for (e, x) in xs.iter().enumerate() {
         assert_eq!(
             x.shape(),
             &[win.c, win.h, win.w],
             "batch elements must share one image shape"
         );
-        win.im2col_into(x.data(), &mut cols[e * block..(e + 1) * block]);
+        let image = if win.pad > 0 {
+            win.pad_into(x.data(), &mut padded);
+            &padded
+        } else {
+            x.data()
+        };
+        win.im2col_into(image, &mut cols[e * block..(e + 1) * block]);
     }
     Tensor::from_vec(&[xs.len() * win.positions(), win.patch_len()], cols)
+}
+
+/// The im2col operand of a batch of `[c, h, w]` images under a `kh × kw`
+/// window at `stride`, with `pad` implicit zeros on every border:
+/// `[B·oh·ow, c·kh·kw]`, each row laid out `[c][ky][kx]`. It is the left
+/// GEMM operand of every convolution and patch embedding, exposed so the
+/// fill can be timed and checked against [`im2col_oracle`] on its own.
+///
+/// # Panics
+///
+/// Panics if `xs` is empty, if the images' shapes differ, or if the
+/// window does not fit the padded image.
+pub fn im2col(xs: &[&Tensor], kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
+    let first = xs.first().expect("im2col needs at least one image");
+    im2col_stacked(xs, &Window::new(first.shape(), kh, kw, stride, pad))
 }
 
 /// im2col-based 2-D convolution over a batch: every image's patch rows
@@ -1469,13 +1524,16 @@ fn dwconv2d(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> 
     Tensor::from_vec(&[c, oh, ow], out)
 }
 
-/// The per-element im2col that [`Window::im2col_into`] replaced: the
-/// bit-identity oracle for the stacked fill. Returns one image's patch
-/// matrix `[oh·ow, c·kh·kw]`.
-#[cfg(test)]
-fn im2col_oracle(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Vec<f32> {
+/// The per-element im2col: one image's patch matrix `[oh·ow, c·kh·kw]`,
+/// written one tap at a time. It is the bit-identity oracle that the
+/// tests and the `gemm` bench check [`im2col`] against.
+///
+/// # Panics
+///
+/// Panics if the window does not fit the padded image.
+pub fn im2col_oracle(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Vec<f32> {
     let (c_in, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let (oh, ow) = (out_dim(h, kh, stride, pad), out_dim(wd, kw, stride, pad));
+    let Window { oh, ow, .. } = Window::new(x.shape(), kh, kw, stride, pad);
     let patch_len = c_in * kh * kw;
     let mut patches = vec![0.0f32; oh * ow * patch_len];
     let xd = x.data();
@@ -1509,7 +1567,7 @@ fn im2col_oracle(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) ->
 fn dwconv2d_oracle(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
     let (c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     let (kh, kw) = (w.shape()[1], w.shape()[2]);
-    let (oh, ow) = (out_dim(h, kh, stride, pad), out_dim(wd, kw, stride, pad));
+    let Window { oh, ow, .. } = Window::new(x.shape(), kh, kw, stride, pad);
     let mut out = vec![0.0f32; c * oh * ow];
     let xd = x.data();
     let wdta = w.data();
@@ -1768,9 +1826,9 @@ fn token_merge_batch(xs: &[&Tensor], w: &WeightStorage, bias: &[f32], grid: usiz
 }
 
 fn max_pool(x: &Tensor, k: usize, stride: usize) -> Tensor {
-    let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let oh = out_dim(h, k, stride, 0);
-    let ow = out_dim(w, k, stride, 0);
+    let Window {
+        c, h, w, oh, ow, ..
+    } = Window::new(x.shape(), k, k, stride, 0);
     let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
     for ch in 0..c {
         for oy in 0..oh {
@@ -2332,46 +2390,130 @@ mod tests {
         x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
     }
 
+    /// The scalar convolution `conv2d_batch` must match: each output sums
+    /// its taps in ascending `(c, ky, kx)` order from `+0.0`, a padded tap
+    /// counting as `+0.0·w`, then adds the bias.
+    fn conv2d_oracle(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
+        let (c_out, c_in, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+        let Window {
+            h, w: wd, oh, ow, ..
+        } = Window::new(x.shape(), kh, kw, stride, pad);
+        let tap = |c: usize, iy: usize, ix: usize| -> f32 {
+            match (iy.checked_sub(pad), ix.checked_sub(pad)) {
+                (Some(y), Some(x_)) if y < h && x_ < wd => x.data()[(c * h + y) * wd + x_],
+                _ => 0.0,
+            }
+        };
+        let mut out = Vec::with_capacity(c_out * oh * ow);
+        for (co, &b) in bias.iter().enumerate() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for c in 0..c_in {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let wv = w.data()[((co * c_in + c) * kh + ky) * kw + kx];
+                                acc += tap(c, oy * stride + ky, ox * stride + kx) * wv;
+                            }
+                        }
+                    }
+                    out.push(acc + b);
+                }
+            }
+        }
+        Tensor::from_vec(&[c_out, oh, ow], out)
+    }
+
     proptest! {
         #[test]
         fn conv_kernels_are_bit_identical_to_their_oracles(
-            c in 1usize..4, k_pick in 0usize..4, stride in 1usize..=3, pad in 0usize..=2,
+            c in 1usize..4, c_out in 1usize..4, kh_pick in 0usize..5, kw_pick in 0usize..5,
+            stride in 1usize..=4, pad in 0usize..=2, batch in 1usize..=3,
             extra_h in 0usize..7, extra_w in 0usize..7, seed in 0u64..1_000_000,
         ) {
             // Image sides start at the smallest that fits the padded
             // window (`h + 2·pad == k`), which is a 1×1 image whenever the
-            // padding alone covers the kernel.
-            let k = [1usize, 2, 3, 5][k_pick];
-            let side = k.saturating_sub(2 * pad).max(1);
-            let (h, w) = (side + extra_h, side + extra_w);
-            let zeros = [0.0, -0.0];
-            let image = |salt| {
-                Tensor::from_vec(&[c, h, w], salted_values(c * h * w, seed, salt, &zeros))
-            };
-            let (x0, x1) = (image(1), image(2));
+            // padding alone covers the kernel. Kernel sides pick from
+            // 1–5 independently, so non-square windows and patch-embed's
+            // 4×4 at stride 4 are both covered.
+            let (kh, kw) = ([1usize, 2, 3, 4, 5][kh_pick], [1usize, 2, 3, 4, 5][kw_pick]);
+            let side = |k: usize| k.saturating_sub(2 * pad).max(1);
+            let (h, w) = (side(kh) + extra_h, side(kw) + extra_w);
+            // Non-finite pixels, NaN payloads of both signs among them:
+            // the fill is a copy, so every bit must reach the operand.
+            let pixel_specials = [
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                f32::from_bits(0x7fc0_1234),
+                f32::from_bits(0xffa0_0001),
+            ];
+            let images: Vec<Tensor> = (0..batch as u64)
+                .map(|e| {
+                    let v = salted_values(c * h * w, seed, 10 + e, &pixel_specials);
+                    Tensor::from_vec(&[c, h, w], v)
+                })
+                .collect();
+            let xs: Vec<&Tensor> = images.iter().collect();
 
             // Stacked im2col fill ≡ per-image oracle, bit for bit.
-            let win = Window::new(x0.shape(), k, k, stride, pad);
-            let stacked = im2col_stacked(&[&x0, &x1], &win);
-            let mut want = im2col_oracle(&x0, k, k, stride, pad);
-            want.extend(im2col_oracle(&x1, k, k, stride, pad));
-            prop_assert_eq!(stacked.shape(), &[2 * win.positions(), c * k * k][..]);
+            let win = Window::new(xs[0].shape(), kh, kw, stride, pad);
+            let stacked = im2col_stacked(&xs, &win);
+            let want: Vec<f32> =
+                xs.iter().flat_map(|x| im2col_oracle(x, kh, kw, stride, pad)).collect();
+            prop_assert_eq!(stacked.shape(), &[batch * win.positions(), c * kh * kw][..]);
             for (i, (g, o)) in stacked.data().iter().zip(&want).enumerate() {
                 prop_assert_eq!(g.to_bits(), o.to_bits(), "im2col elem {}", i);
             }
 
+            // conv2d over the fill and the GEMM ≡ the scalar oracle, with
+            // dense weights and with packed LP8 codes of the same values.
+            let zeros = [0.0, -0.0];
+            let wt = salted_values(c_out * c * kh * kw, seed, 5, &zeros);
+            let wt = Tensor::from_vec(&[c_out, c, kh, kw], wt);
+            let packed = QTensor::quantize(&wt, &LpParams::clamped(8, 2, 3, 0.0));
+            let bias = salted_values(c_out, seed, 6, &zeros);
+            for (storage, values) in [
+                (WeightStorage::from(wt.clone()), wt.clone()),
+                (WeightStorage::from(packed.clone()), packed.dequantize()),
+            ] {
+                let got = conv2d_batch(&xs, &storage, &bias, stride, pad);
+                for (x, g) in xs.iter().zip(&got) {
+                    let want = conv2d_oracle(x, &values, &bias, stride, pad);
+                    prop_assert_eq!(g.shape(), want.shape());
+                    for (i, (g, o)) in g.data().iter().zip(want.data()).enumerate() {
+                        prop_assert!(bits_eq_mod_nan(*g, *o), "conv elem {}: {:?} vs {:?}", i, g, o);
+                    }
+                }
+            }
+
             // Row-wise dwconv2d ≡ per-element oracle, with non-finite weights.
             let weight_specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-            let wt = salted_values(c * k * k, seed, 3, &weight_specials);
-            let wt = Tensor::from_vec(&[c, k, k], wt);
+            let wt = salted_values(c * kh * kw, seed, 3, &weight_specials);
+            let wt = Tensor::from_vec(&[c, kh, kw], wt);
             let bias = salted_values(c, seed, 4, &zeros);
-            let got = dwconv2d(&x0, &wt, &bias, stride, pad);
-            let want = dwconv2d_oracle(&x0, &wt, &bias, stride, pad);
+            let got = dwconv2d(xs[0], &wt, &bias, stride, pad);
+            let want = dwconv2d_oracle(xs[0], &wt, &bias, stride, pad);
             prop_assert_eq!(got.shape(), want.shape());
             for (i, (g, o)) in got.data().iter().zip(want.data()).enumerate() {
                 prop_assert!(bits_eq_mod_nan(*g, *o), "dwconv elem {}: {:?} vs {:?}", i, g, o);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a 5x5 window at stride 1, pad 1 does not fit a 2x2x3 image")]
+    fn conv2d_rejects_a_window_larger_than_its_padded_input() {
+        let x = seq_tensor(&[2, 2, 3], 1.0);
+        conv2d(&x, &seq_tensor(&[1, 2, 5, 5], 0.5), &[0.0], 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 3x3 window at stride 2, pad 0 does not fit a 1x2x2 image")]
+    fn max_pool_rejects_a_window_larger_than_its_input() {
+        max_pool(&seq_tensor(&[1, 2, 2], 1.0), 3, 2);
     }
 
     /// A small model touching every GEMM-backed weighted op plus the
