@@ -19,6 +19,7 @@
 //! `LP_PORTABLE_KERNELS=1` forces the portable tier; the JSON records
 //! which tier ran in `kernel_tier`.
 
+use bench::Json;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lp::adaptivfloat::AdaptivFloat;
 use lp::baselines::{FixedPoint, IntQuantizer, LnsQuantizer, MiniFloat};
@@ -239,8 +240,7 @@ fn compare_paths(c: &mut Criterion) {
     });
 }
 
-/// Writes `BENCH_codec.json` (no serde in the tree; the format is flat
-/// enough to emit by hand).
+/// Writes `BENCH_codec.json`.
 fn write_json(rows: &[Comparison], elements: usize) {
     // Headline gate for the vectorized uniform-grid override: the worse of
     // INT and Fixed batch throughput relative to its scalar baseline. The
@@ -253,42 +253,32 @@ fn write_json(rows: &[Comparison], elements: usize) {
         .map(Comparison::batch_speedup)
         .fold(f64::INFINITY, f64::min);
     bench::check_metric("int_fixed_batch_speedup", int_fixed_batch_speedup);
-    for r in rows {
-        bench::check_metric("batch_speedup", r.batch_speedup());
-    }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"elements\": {elements},\n"));
-    out.push_str("  \"unit\": \"elements_per_second\",\n");
-    out.push_str(&format!(
-        "  \"kernel_tier\": \"{}\",\n",
-        lp::simd::kernel_tier()
-    ));
-    out.push_str(&format!(
-        "  \"int_fixed_batch_speedup\": {int_fixed_batch_speedup:.3},\n"
-    ));
-    out.push_str("  \"formats\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"format\": \"{}\", \"scalar\": {:.0}, \"table\": {:.0}, \"batch\": {:.0}, \
-             \"speedup\": {:.3}, \"batch_speedup\": {:.3}, \
-             \"batch_pass_p50_s\": {:.6}, \"batch_pass_p99_s\": {:.6}}}{}\n",
-            r.format,
-            r.scalar_elems_per_s,
-            r.table_elems_per_s,
-            r.batch_elems_per_s,
-            r.speedup(),
-            r.batch_speedup(),
-            r.batch_p50_s,
-            r.batch_p99_s,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let path = bench::artifact_path("BENCH_codec.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let formats: Vec<Json> = rows
+        .iter()
+        .map(|r| {
+            bench::check_metric("batch_speedup", r.batch_speedup());
+            Json::object()
+                .field("format", r.format.as_str())
+                .field("scalar", Json::fixed(r.scalar_elems_per_s, 0))
+                .field("table", Json::fixed(r.table_elems_per_s, 0))
+                .field("batch", Json::fixed(r.batch_elems_per_s, 0))
+                .field("speedup", Json::fixed(r.speedup(), 3))
+                .field("batch_speedup", Json::fixed(r.batch_speedup(), 3))
+                .field("batch_pass_p50_s", Json::fixed(r.batch_p50_s, 6))
+                .field("batch_pass_p99_s", Json::fixed(r.batch_p99_s, 6))
+        })
+        .collect();
+    let json = Json::object()
+        .field("elements", elements)
+        .field("unit", "elements_per_second")
+        .field("kernel_tier", lp::simd::kernel_tier())
+        .field(
+            "int_fixed_batch_speedup",
+            Json::fixed(int_fixed_batch_speedup, 3),
+        )
+        .field("formats", formats);
+    println!();
+    bench::write_artifact("BENCH_codec.json", &json);
 }
 
 criterion_group!(benches, bench_codecs, compare_paths);

@@ -1,95 +1,97 @@
-//! Multi-model batch-inference serving benchmark.
+//! Serving-policy benchmark: the studies of the `serve` scheduler,
+//! overload control and tracing that the end-to-end benchmark
+//! (`perfbench/`) does not run. It writes `BENCH_serve.json` and
+//! `TRACE_serve.json` (under `target/bench/`, or the directory given as
+//! `--out <dir>`).
 //!
-//! Exercises the whole `serve` subsystem end to end and writes
-//! `BENCH_serve.json` (under `target/bench/`, or the directory given as
-//! `--out <dir>`):
+//! Each study is one function: it runs, asserts its own gates, guards
+//! its numbers with [`bench::check_metric`], prints one line and returns
+//! its JSON section, which also records the parameters it ran with.
 //!
-//! 1. **Batched vs per-input serving** — the same model + scheme served
-//!    two ways on identical load: the retired per-input fan-out over a
-//!    fake-quantized **f32 copy** (`ServedModel::register_per_input`) and
-//!    the packed batched hot path (`ServedModel::register`: `u16` codes,
-//!    one stacked GEMM per layer via `Model::forward_batch`). Reports
-//!    req/s for both and the resident-weight-bytes delta.
-//! 2. **Async vs sync front-end** (`async_vs_sync`) — the same packed
-//!    batched registration driven two ways at the same offered load:
-//!    thread-per-request synchronous `Client`s (one blocked OS thread per
-//!    outstanding request) vs **one** driver thread holding the whole
-//!    window in flight as tickets through the completion-queue
-//!    [`serve::async_front::AsyncClient`]. A second, capped registration
-//!    is then deliberately overloaded to show admission control shedding
-//!    (`ServeError::Rejected`) with bounded queue depth and p99.
-//! 3. **Policy study** (`policy_study`) — the pluggable scheduling layer
-//!    on dedicated sleep-calibrated servers, so the numbers measure the
-//!    *scheduler* rather than GEMM speed: (a) three scenarios at WFQ
-//!    weights 1/2/4 under full saturation, whose measured throughput
-//!    shares must land within ±20% of the configured weights; (b) a
-//!    strict-priority pair where class-0 probes overtake a deep class-5
-//!    backlog (p99 ratio + starvation counter); (c) an overloaded
-//!    deadline scenario whose expired requests are shed with
-//!    `DeadlineExpired` at dispatch while the p99 of *accepted* requests
-//!    stays under the budget.
-//! 4. **Multi-model serving** — two models × two quantization scenarios
-//!    (plus a duplicate scenario proving code sharing) registered on one
-//!    batching server, hammered by concurrent synchronous clients;
-//!    reports requests/s, per-registration mean/p50/p99 latency **and
-//!    per-stage (queue-wait / service / delivery) histogram quantiles**,
-//!    submitted/per-reason-shed/queue-depth counters, and the pool's
-//!    per-worker executed/stolen/steal-failure/park counters — all
-//!    printed through the shared [`Server::report`] table.
-//! 5. **Trace overhead** (`trace_overhead`) — the observability gate:
-//!    the same packed registration driven through the async front with
-//!    ring-buffer event recording toggled off and on
-//!    (`serve::trace::set_enabled`, interleaved reps, best of each),
-//!    asserting the traced path costs less than the configured overhead
-//!    budget; a short traced run is then exported as Chrome trace-event
-//!    JSON to `TRACE_serve.json` beside `BENCH_serve.json` (load it in
-//!    Perfetto / `chrome://tracing`).
+//! 1. **Policy study** (`policy_study`): the pluggable scheduling layer on
+//!    dedicated sleep-calibrated servers, so the numbers measure the
+//!    *scheduler* rather than GEMM speed. (a) Three scenarios at WFQ
+//!    weights 1/2/4 under full saturation, whose throughput shares must
+//!    land within ±20% of the configured weights. (b) A strict-priority
+//!    pair where class-0 probes overtake a deep class-5 backlog (p99 ratio
+//!    and starvation counter). (c) An overloaded deadline scenario whose
+//!    expired requests are shed with `DeadlineExpired` at dispatch while
+//!    the p99 of *accepted* requests stays under the budget.
+//! 2. **Predictive overload** (`overload_study`): at least 80% of a
+//!    doomed burst's sheds happen at submit, and accepted p99 stays under
+//!    the budget.
+//! 3. **Reserved lane** (`reserved_lane_study`): a reserved high-lane
+//!    worker cuts class-0 p99 at least 3× against a plain pool.
+//! 4. **Admission-cap shedding** (`load_shedding`): a burst far beyond a
+//!    packed MLP registration's queue cap is shed with
+//!    `ServeError::Rejected` while queue depth stays under the cap.
+//! 5. **Trace overhead** (`trace_overhead`): the same packed registration
+//!    driven through the async front with ring-buffer event recording off
+//!    and on (`serve::trace::set_enabled`, interleaved reps, best of
+//!    each), asserting the traced path costs less than the overhead
+//!    budget. A short traced run is then exported as Chrome trace-event
+//!    JSON to `TRACE_serve.json` (load it in Perfetto or
+//!    `chrome://tracing`).
 //!
-//! Environment knobs (all optional): `SERVE_BENCH_REQUESTS` (total
-//! requests in phase 4, default 240), `SERVE_BENCH_CLIENTS` (client
-//! threads, default 8), `SERVE_BENCH_AB_REQUESTS` /
-//! `SERVE_BENCH_AB_CLIENTS` (phase-1 load, defaults 600 / 16),
-//! `SERVE_BENCH_INFLIGHT` (phase-2 in-flight window = sync client
-//! threads, default 1536), `SERVE_BENCH_ASYNC_REQUESTS` (phase-2 total,
-//! default 4096), `SERVE_BENCH_QUEUE_CAP` / `SERVE_BENCH_SHED_OFFERED`
-//! (phase-2 overload study, defaults 64 / 2048),
-//! `SERVE_BENCH_WFQ_BACKLOG` (phase-3 per-scenario backlog, default
-//! 1200), `SERVE_BENCH_PRIO_BACKLOG` / `SERVE_BENCH_PRIO_PROBES`
-//! (phase-3 strict-priority study, defaults 60 / 20),
+//! Environment knobs (all optional): `SERVE_BENCH_WFQ_BACKLOG`
+//! (per-scenario backlog, default 1200), `SERVE_BENCH_PRIO_BACKLOG` /
+//! `SERVE_BENCH_PRIO_PROBES` (defaults 60 / 20),
 //! `SERVE_BENCH_DEADLINE_BUDGET_MS` / `SERVE_BENCH_DEADLINE_BURST`
-//! (phase-3 deadline study, defaults 1000 / 4096),
-//! `SERVE_BENCH_NET_CONNS` / `SERVE_BENCH_NET_INFLIGHT` /
-//! `SERVE_BENCH_NET_REQUESTS` / `SERVE_BENCH_NET_PAYLOAD` (phase-3d
-//! loopback wire study: connections, per-connection in-flight window,
-//! requests per connection, payload bytes; defaults 4 / 8 / 1000 / 64),
+//! (defaults 1000 / 4096), `SERVE_BENCH_OVERLOAD_BUDGET_MS` /
+//! `SERVE_BENCH_OVERLOAD_SERVICE_MS` / `SERVE_BENCH_OVERLOAD_BURST`
+//! (defaults 150 / 15 / 256), `SERVE_BENCH_RESERVED_BACKLOG` /
+//! `SERVE_BENCH_RESERVED_PROBES` / `SERVE_BENCH_RESERVED_LOW_MS`
+//! (defaults 40 / 12 / 25), `SERVE_BENCH_QUEUE_CAP` /
+//! `SERVE_BENCH_SHED_OFFERED` (defaults 64 / 2048),
 //! `SERVE_BENCH_TRACE_REQUESTS` / `SERVE_BENCH_TRACE_REPS` /
-//! `SERVE_BENCH_TRACE_INFLIGHT` (phase-5 A/B load, defaults 2048 / 3 /
-//! 256), `SERVE_BENCH_TRACE_MAX_OVERHEAD_PCT` (phase-5 overhead budget
-//! in percent, default 5; CI smoke runs relax it because tiny runs are
-//! noise-dominated — the committed artifact comes from a full run), and
-//! `SERVE_THREADS` (pool size; the phase-3 studies run on their own
-//! fixed 2-worker / 1-worker pools so their shares and sheds are
-//! box-independent). CI runs
-//! this in smoke mode with tiny counts; the defaults produce a meaningful
-//! measurement. Every knob's resolved value is recorded in the JSON
-//! (`config`), so runs are self-describing.
+//! `SERVE_BENCH_TRACE_INFLIGHT` (defaults 2048 / 3 / 256),
+//! `SERVE_BENCH_TRACE_MAX_OVERHEAD_PCT` (overhead budget in percent,
+//! default 5; CI smoke runs relax it because tiny runs are
+//! noise-dominated, and the committed artifact comes from a full run),
+//! and `SERVE_THREADS` (global pool size, used by studies 4 and 5; the
+//! scheduler studies run on their own fixed 1- and 2-worker pools so
+//! their shares and sheds do not depend on the box). CI runs this in
+//! smoke mode with tiny counts; the defaults produce a meaningful
+//! measurement.
 
-use dnn::data;
+use bench::{check_metric, env_usize, Json};
 use dnn::graph::{Model, Op};
 use dnn::serving::ServedModel;
 use dnn::Tensor;
-use serve::net::{NetClient, NetConfig, NetServer, Status};
 use serve::pool::Pool;
 use serve::server::{BatchPolicy, ScenarioSpec, ServeError, Server};
 use serve::{trace, StrictPriority, WeightedFair};
-use std::collections::HashMap;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// An MLP whose layers see rank-1 inputs — the workload where batching
-/// amortizes weight traversal hardest (every per-input GEMM is `m = 1`).
+fn main() {
+    // The overload study admits right up to the forecast boundary, so a
+    // safety factor above 1 is what keeps accepted tail latency strictly
+    // inside the budget. Default it before the first predictive submit
+    // can latch the process-wide value; an explicit environment override
+    // still wins.
+    if std::env::var_os(serve::overload::SAFETY_ENV).is_none() {
+        std::env::set_var(serve::overload::SAFETY_ENV, "1.5");
+    }
+    let pool_threads = Pool::global().threads();
+    println!("serve_throughput: {pool_threads} global pool workers");
+    let json = Json::object()
+        .field("pool_threads", pool_threads)
+        .field(
+            "policy_study",
+            Json::object()
+                .field("wfq", wfq_study())
+                .field("strict_priority", prio_study())
+                .field("deadline", deadline_study()),
+        )
+        .field("overload_study", overload_study())
+        .field("reserved_lane_study", reserved_lane_study())
+        .field("load_shedding", load_shedding_study())
+        .field("trace_overhead", trace_overhead_study());
+    bench::write_artifact("BENCH_serve.json", &json);
+}
+
+/// An MLP whose layers see rank-1 inputs, served packed by the
+/// admission-cap and trace-overhead studies.
 fn mlp_model() -> Model {
     let dims = [256usize, 512, 512, 100];
     let mut m = Model::new("mlp_256", &[dims[0]], dims[3]);
@@ -114,110 +116,51 @@ fn mlp_model() -> Model {
     m
 }
 
-/// Hammers one `(model, scenario)` registration with `clients` concurrent
-/// synchronous clients issuing `requests` total requests; returns req/s.
-fn hammer(
-    server: &Server<Tensor, Tensor>,
-    combos: &[(String, String)],
-    inputs: &[Tensor],
-    clients: usize,
-    requests: usize,
-) -> (f64, f64) {
-    let counter = Arc::new(AtomicUsize::new(0));
-    let t0 = Instant::now();
-    let mut joins = Vec::new();
-    for _ in 0..clients {
-        let client = server.client();
-        let counter = Arc::clone(&counter);
-        let combos = combos.to_vec();
-        let inputs = inputs.to_vec();
-        joins.push(std::thread::spawn(move || loop {
-            let i = counter.fetch_add(1, Ordering::Relaxed); // ordering: relaxed work-claim counter; joins order the results
-            if i >= requests {
-                break;
-            }
-            let (model, scenario) = &combos[i % combos.len()];
-            let input = inputs[i % inputs.len()].clone();
-            client
-                .infer(model, scenario, input)
-                .expect("request failed");
-        }));
-    }
-    for j in joins {
-        j.join().expect("client thread panicked");
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    (wall_s, requests as f64 / wall_s.max(1e-12))
+/// A server on the global pool with one packed LP8 registration of the
+/// MLP under `scenario`, capped at `queue_cap` outstanding requests, and
+/// 16 inputs to drive it with.
+fn mlp_server(scenario: &str, queue_cap: usize) -> (Server<Tensor, Tensor>, Vec<Tensor>) {
+    let server = Server::new(
+        Pool::global().clone(),
+        BatchPolicy {
+            max_batch: 4,
+            max_wait: Duration::from_millis(2),
+        },
+    );
+    let mlp = ServedModel::new(mlp_model());
+    mlp.register_spec(
+        &server,
+        ScenarioSpec::new("", scenario).queue_cap(queue_cap),
+        bench::uniform_lp_scheme(mlp.model(), 8),
+    )
+    .expect("mlp registration failed");
+    let inputs = (0..16)
+        .map(|s| bench::pseudo_tensor(&[256], s as f32 * 1.77))
+        .collect();
+    (server, inputs)
 }
 
-/// Drives one registration with `threads` synchronous clients — one
-/// blocked OS thread per outstanding request, the baseline concurrency
-/// model — issuing `total` requests; returns req/s.
-fn sync_thread_per_request(
-    server: &Server<Tensor, Tensor>,
-    model: &str,
-    scenario: &str,
-    inputs: &[Tensor],
-    threads: usize,
-    total: usize,
-) -> f64 {
-    let counter = Arc::new(AtomicUsize::new(0));
-    // Share the input set across the (possibly thousands of) client
-    // threads; the per-request `.clone()` below makes the owned tensor.
-    let inputs: Arc<[Tensor]> = inputs.into();
-    let t0 = Instant::now();
-    let mut joins = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let client = server.client();
-        let counter = Arc::clone(&counter);
-        let (model, scenario) = (model.to_string(), scenario.to_string());
-        let inputs = Arc::clone(&inputs);
-        let builder = std::thread::Builder::new().stack_size(512 * 1024);
-        joins.push(
-            builder
-                .spawn(move || loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed); // ordering: relaxed work-claim counter; joins order the results
-                    if i >= total {
-                        break;
-                    }
-                    client
-                        .infer(&model, &scenario, inputs[i % inputs.len()].clone())
-                        .expect("sync request failed");
-                })
-                .expect("spawn sync client"),
-        );
-    }
-    for j in joins {
-        j.join().expect("sync client panicked");
-    }
-    total as f64 / t0.elapsed().as_secs_f64().max(1e-12)
-}
-
-/// Drives the same registration from **one** thread through the
+/// Drives the trace study's registration from **one** thread through the
 /// completion-queue front-end, keeping up to `window` tickets in flight;
-/// returns `(req/s, max observed in-flight tickets)`.
+/// returns req/s.
 fn async_single_driver(
     server: &Server<Tensor, Tensor>,
-    model: &str,
-    scenario: &str,
     inputs: &[Tensor],
     window: usize,
     total: usize,
-) -> (f64, usize) {
+) -> f64 {
     let cq = server.async_client();
-    let ep = cq.endpoint(model, scenario).expect("endpoint");
+    let ep = cq.endpoint("mlp_256", "lp8_trace").expect("endpoint");
     let mut submitted = 0usize;
     let mut completed = 0usize;
-    let mut max_inflight = 0usize;
     let t0 = Instant::now();
     while completed < total {
         // Top the window up: outstanding = in flight + completed-but-not-
         // yet-harvested. Submission never blocks.
         while submitted < total && cq.in_flight() + cq.completed_waiting() < window {
             ep.submit(inputs[submitted % inputs.len()].clone())
-                .expect("uncapped registration must admit");
+                .expect("registration capped above the window must admit");
             submitted += 1;
-            max_inflight = max_inflight.max(cq.in_flight());
         }
         // Harvest: block for one completion, then drain whatever else is
         // already done without blocking.
@@ -231,147 +174,7 @@ fn async_single_driver(
             completed += 1;
         }
     }
-    (
-        total as f64 / t0.elapsed().as_secs_f64().max(1e-12),
-        max_inflight,
-    )
-}
-
-struct ShedResult {
-    queue_cap: usize,
-    offered: usize,
-    accepted: usize,
-    shed: usize,
-    p99_ms: f64,
-    max_queue_depth: usize,
-}
-
-struct AsyncVsSync {
-    total: usize,
-    window: usize,
-    sync_rps: f64,
-    async_rps: f64,
-    max_inflight: usize,
-    throughput_queue_cap: usize,
-    shed: ShedResult,
-}
-
-struct ServingRow {
-    model: String,
-    scenario: String,
-    count: u64,
-    mean_ms: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    queue_wait_p50_ms: f64,
-    queue_wait_p99_ms: f64,
-    service_p50_ms: f64,
-    service_p99_ms: f64,
-    delivery_p50_ms: f64,
-    delivery_p99_ms: f64,
-    submitted: u64,
-    shed: u64,
-    shed_deadline: u64,
-    shed_predicted: u64,
-    passed_over: u64,
-    max_queue_depth: usize,
-}
-
-struct TraceOverhead {
-    requests: usize,
-    window: usize,
-    reps: usize,
-    untraced_rps: f64,
-    traced_rps: f64,
-    overhead_frac: f64,
-    max_overhead_frac: f64,
-    ring_cap: usize,
-    events_recorded: u64,
-    trace_rings: usize,
-}
-
-struct AbResult {
-    requests: usize,
-    clients: usize,
-    policy: BatchPolicy,
-    per_input_rps: f64,
-    batched_rps: f64,
-    mean_batch: f64,
-}
-
-struct MemoryResult {
-    scenarios: usize,
-    dense_equiv_bytes: usize,
-    packed_bytes: usize,
-}
-
-struct WfqStudy {
-    weights: [u32; 3],
-    backlog: usize,
-    counts: [u64; 3],
-    shares: [f64; 3],
-    expected: [f64; 3],
-    max_rel_err: f64,
-}
-
-struct PrioStudy {
-    low_backlog: usize,
-    probes: usize,
-    high_p99_ms: f64,
-    low_p99_ms: f64,
-    low_passed_over: u64,
-}
-
-struct DeadlineStudy {
-    budget_ms: u64,
-    offered: usize,
-    completed: u64,
-    shed_deadline: u64,
-    accepted_p99_ms: f64,
-}
-
-struct PolicyStudy {
-    wfq: WfqStudy,
-    prio: PrioStudy,
-    deadline: DeadlineStudy,
-}
-
-struct OverloadStudy {
-    budget_ms: u64,
-    service_ms: u64,
-    warmups: usize,
-    burst: usize,
-    safety: f64,
-    accepted: u64,
-    completed: u64,
-    shed_predicted: u64,
-    shed_deadline: u64,
-    early_shed_fraction: f64,
-    accepted_p99_ms: f64,
-}
-
-struct ReservedLaneStudy {
-    low_backlog: usize,
-    probes: usize,
-    low_ms: u64,
-    baseline_high_p99_ms: f64,
-    reserved_high_p99_ms: f64,
-    improvement: f64,
-}
-
-struct NetLoopback {
-    connections: usize,
-    in_flight: usize,
-    requests_per_conn: usize,
-    payload_bytes: usize,
-    total_requests: usize,
-    wall_s: f64,
-    req_per_s: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-    frames_in: u64,
-    frames_out: u64,
-    protocol_errors: u64,
+    total as f64 / t0.elapsed().as_secs_f64().max(1e-12)
 }
 
 /// A batch function that sleeps a fixed time and echoes its inputs --
@@ -391,7 +194,8 @@ fn sleepy(ms: u64) -> impl Fn(&[u64]) -> Vec<u64> + Send + Sync + 'static {
 /// (every queue served once before the deficits take hold) stays out of
 /// the window, and the second `backlog` completions later, while every
 /// queue still holds work. They must split in proportion to the weights.
-fn wfq_study(backlog: usize) -> WfqStudy {
+fn wfq_study() -> Json {
+    let backlog = env_usize("SERVE_BENCH_WFQ_BACKLOG", 1200);
     let weights = [1u32, 2, 4];
     let scenarios = ["wfq_w1", "wfq_w2", "wfq_w4"];
     let server: Server<u64, u64> = Server::with_policy(
@@ -447,30 +251,50 @@ fn wfq_study(backlog: usize) -> WfqStudy {
     let counts: Vec<u64> = end.iter().zip(&start).map(|(e, s)| e - s).collect();
     server.shutdown();
     let total: u64 = counts.iter().sum();
-    let mut shares = [0.0f64; 3];
-    let mut expected = [0.0f64; 3];
     let weight_sum: u32 = weights.iter().sum();
-    let mut max_rel_err = 0.0f64;
-    for i in 0..3 {
-        shares[i] = counts[i] as f64 / total.max(1) as f64;
-        expected[i] = f64::from(weights[i]) / f64::from(weight_sum);
-        max_rel_err = max_rel_err.max((shares[i] - expected[i]).abs() / expected[i]);
+    let shares: Vec<f64> = counts
+        .iter()
+        .map(|&c| c as f64 / total.max(1) as f64)
+        .collect();
+    let expected: Vec<f64> = weights
+        .iter()
+        .map(|&w| f64::from(w) / f64::from(weight_sum))
+        .collect();
+    let max_rel_err = shares
+        .iter()
+        .zip(&expected)
+        .map(|(s, e)| (s - e).abs() / e)
+        .fold(0.0f64, f64::max);
+    println!(
+        "policy_study wfq (weights {weights:?}, backlog {backlog} each): counts {counts:?}, \
+         shares {shares:.3?} vs expected {expected:.3?}, max rel err {max_rel_err:.3}"
+    );
+    assert!(
+        max_rel_err <= 0.20,
+        "WFQ throughput shares must track weights within 20%: rel err {max_rel_err:.3}"
+    );
+    for (w, &share) in weights.iter().zip(&shares) {
+        check_metric(&format!("wfq_share_w{w}"), share);
     }
-    WfqStudy {
-        weights,
-        backlog,
-        counts: [counts[0], counts[1], counts[2]],
-        shares,
-        expected,
-        max_rel_err,
-    }
+    let fixed4 = |v: &[f64]| -> Vec<Json> { v.iter().map(|&x| Json::fixed(x, 4)).collect() };
+    Json::object()
+        .field("policy", "weighted_fair")
+        .field("weights", weights.to_vec())
+        .field("backlog_per_scenario", backlog)
+        .field("counts", counts)
+        .field("shares", fixed4(&shares))
+        .field("expected_shares", fixed4(&expected))
+        .field("max_rel_err", Json::fixed(max_rel_err, 4))
+        .field("tolerance", Json::fixed(0.20, 2))
 }
 
 /// Strict priority: class-0 probes fired into a deep class-5 backlog on
 /// a single-worker pool. The probes' p99 stays at the scale of one
 /// in-flight low batch; the backlog's p99 is the whole queue -- and every
 /// bypass is visible in the low class's starvation counter.
-fn prio_study(low_backlog: usize, probes: usize) -> PrioStudy {
+fn prio_study() -> Json {
+    let low_backlog = env_usize("SERVE_BENCH_PRIO_BACKLOG", 60);
+    let probes = env_usize("SERVE_BENCH_PRIO_PROBES", 20);
     let server: Server<u64, u64> = Server::with_policy(
         Pool::new(1),
         BatchPolicy {
@@ -513,13 +337,31 @@ fn prio_study(low_backlog: usize, probes: usize) -> PrioStudy {
     // queue it actually sat in.
     server.shutdown();
     let low = server.stats("policy", "low").expect("low stats");
-    PrioStudy {
-        low_backlog,
-        probes,
-        high_p99_ms: high.p99_s * 1e3,
-        low_p99_ms: low.p99_s * 1e3,
-        low_passed_over: low.passed_over,
-    }
+    let (high_p99_ms, low_p99_ms) = (high.p99_s * 1e3, low.p99_s * 1e3);
+    println!(
+        "policy_study strict_priority ({low_backlog} low backlog, {probes} class-0 probes): \
+         high p99 {high_p99_ms:.1} ms vs low p99 {low_p99_ms:.1} ms, low passed_over {}",
+        low.passed_over
+    );
+    assert!(
+        high_p99_ms < low_p99_ms,
+        "class 0 must not wait behind the class-5 backlog"
+    );
+    assert!(
+        low.passed_over > 0,
+        "bypasses must be visible in the starvation counter"
+    );
+    check_metric("prio_high_p99_ms", high_p99_ms);
+    check_metric("prio_low_p99_ms", low_p99_ms);
+    Json::object()
+        .field("policy", "strict_priority")
+        .field("low_class", 5u32)
+        .field("high_class", 0u32)
+        .field("low_backlog", low_backlog)
+        .field("high_probes", probes)
+        .field("high_p99_ms", Json::fixed(high_p99_ms, 3))
+        .field("low_p99_ms", Json::fixed(low_p99_ms, 3))
+        .field("low_passed_over", low.passed_over)
 }
 
 /// Deadline shedding under a worker stall. Phase one serves a fast
@@ -531,7 +373,9 @@ fn prio_study(low_backlog: usize, probes: usize) -> PrioStudy {
 /// dispatch. The two phases are separated by more than the budget, so
 /// accepted-request latencies sit far below it -- the `accepted_p99 <
 /// budget` invariant is structural, not a timing race.
-fn deadline_study(budget_ms: u64, offered: usize) -> DeadlineStudy {
+fn deadline_study() -> Json {
+    let budget_ms = env_usize("SERVE_BENCH_DEADLINE_BUDGET_MS", 1000) as u64;
+    let offered = env_usize("SERVE_BENCH_DEADLINE_BURST", 4096);
     let workers = 2;
     let server: Server<u64, u64> = Server::new(
         Pool::new(workers),
@@ -620,13 +464,23 @@ fn deadline_study(budget_ms: u64, offered: usize) -> DeadlineStudy {
     let snap = server.stats("policy", "deadline").expect("deadline stats");
     server.shutdown();
     assert_eq!(snap.shed_deadline, shed, "stats must count every shed");
-    DeadlineStudy {
-        budget_ms,
-        offered,
-        completed,
-        shed_deadline: shed,
-        accepted_p99_ms: snap.p99_s * 1e3,
-    }
+    let accepted_p99_ms = snap.p99_s * 1e3;
+    println!(
+        "policy_study deadline (budget {budget_ms} ms, burst {offered}): completed \
+         {completed}, shed {shed} expired at dispatch, accepted p99 {accepted_p99_ms:.1} ms"
+    );
+    assert!(shed > 0, "the overload burst must shed expired work");
+    assert!(
+        accepted_p99_ms < budget_ms as f64,
+        "accepted p99 {accepted_p99_ms:.1} ms must stay under the {budget_ms} ms budget"
+    );
+    check_metric("deadline_accepted_p99_ms", accepted_p99_ms);
+    Json::object()
+        .field("budget_ms", budget_ms)
+        .field("offered_burst", offered)
+        .field("completed", completed)
+        .field("shed_deadline", shed)
+        .field("accepted_p99_ms", Json::fixed(accepted_p99_ms, 3))
 }
 
 /// Predictive admission under a doomed burst. Warm-up teaches the
@@ -638,7 +492,10 @@ fn deadline_study(budget_ms: u64, offered: usize) -> DeadlineStudy {
 /// shed, and the handful of admitted requests complete inside the
 /// budget because the forecast admitted them only while the backlog
 /// still fit it.
-fn overload_study(budget_ms: u64, service_ms: u64, burst: usize) -> OverloadStudy {
+fn overload_study() -> Json {
+    let budget_ms = env_usize("SERVE_BENCH_OVERLOAD_BUDGET_MS", 150) as u64;
+    let service_ms = env_usize("SERVE_BENCH_OVERLOAD_SERVICE_MS", 15) as u64;
+    let burst = env_usize("SERVE_BENCH_OVERLOAD_BURST", 256);
     let server: Server<u64, u64> = Server::new(
         Pool::new(1),
         BatchPolicy {
@@ -710,20 +567,42 @@ fn overload_study(budget_ms: u64, service_ms: u64, burst: usize) -> OverloadStud
         snap.shed_predicted, shed_predicted,
         "stats must count every predictive shed"
     );
-    let total_shed = shed_predicted + shed_deadline;
-    OverloadStudy {
-        budget_ms,
-        service_ms,
-        warmups,
-        burst,
-        safety: serve::overload::safety_factor(),
-        accepted,
-        completed,
-        shed_predicted,
-        shed_deadline,
-        early_shed_fraction: shed_predicted as f64 / total_shed.max(1) as f64,
-        accepted_p99_ms: snap.p99_s * 1e3,
-    }
+    let safety = serve::overload::safety_factor();
+    let early_shed_fraction =
+        shed_predicted as f64 / (shed_predicted + shed_deadline).max(1) as f64;
+    let accepted_p99_ms = snap.p99_s * 1e3;
+    println!(
+        "overload_study predictive (budget {budget_ms} ms, {service_ms} ms batches, burst \
+         {burst}, safety {safety:.2}): accepted {accepted}, completed {completed}, shed \
+         {shed_predicted} at submit + {shed_deadline} at dispatch (early fraction \
+         {early_shed_fraction:.3}), accepted p99 {accepted_p99_ms:.1} ms"
+    );
+    assert!(
+        shed_predicted > 0 && completed >= 1,
+        "the burst must split into admitted and predictively shed requests"
+    );
+    assert!(
+        early_shed_fraction >= 0.8,
+        "at least 80% of sheds must happen at submit, not dispatch: {early_shed_fraction:.3}"
+    );
+    assert!(
+        accepted_p99_ms < budget_ms as f64,
+        "accepted p99 {accepted_p99_ms:.1} ms must stay under the {budget_ms} ms budget"
+    );
+    check_metric("predictive_accepted_p99_ms", accepted_p99_ms);
+    Json::object()
+        .field("budget_ms", budget_ms)
+        .field("service_ms", service_ms)
+        .field("warmups", warmups)
+        .field("offered_burst", burst)
+        .field("safety_factor", Json::fixed(safety, 3))
+        .field("accepted", accepted)
+        .field("completed", completed)
+        .field("shed_predicted", shed_predicted)
+        .field("shed_deadline", shed_deadline)
+        .field("early_shed_fraction", Json::fixed(early_shed_fraction, 4))
+        .field("early_shed_fraction_floor", Json::fixed(0.8, 1))
+        .field("accepted_p99_ms", Json::fixed(accepted_p99_ms, 3))
 }
 
 /// Reserved-lane A/B: the identical low-saturation + class-0 probe load
@@ -732,7 +611,10 @@ fn overload_study(budget_ms: u64, service_ms: u64, burst: usize) -> OverloadStud
 /// it still waits behind whichever long low batches already occupy every
 /// worker; with `Pool::with_reserved(2, 1)` the low class can never
 /// occupy the reserved worker, so a probe starts immediately.
-fn reserved_lane_study(low_backlog: usize, probes: usize, low_ms: u64) -> ReservedLaneStudy {
+fn reserved_lane_study() -> Json {
+    let low_backlog = env_usize("SERVE_BENCH_RESERVED_BACKLOG", 40);
+    let probes = env_usize("SERVE_BENCH_RESERVED_PROBES", 12);
+    let low_ms = env_usize("SERVE_BENCH_RESERVED_LOW_MS", 25) as u64;
     let run = |reserved: usize| -> f64 {
         let pool = if reserved > 0 {
             Pool::with_reserved(2, reserved)
@@ -782,1231 +664,163 @@ fn reserved_lane_study(low_backlog: usize, probes: usize, low_ms: u64) -> Reserv
         server.shutdown();
         high.p99_s * 1e3
     };
-    let baseline_high_p99_ms = run(0);
-    let reserved_high_p99_ms = run(1);
-    ReservedLaneStudy {
-        low_backlog,
-        probes,
-        low_ms,
-        baseline_high_p99_ms,
-        reserved_high_p99_ms,
-        improvement: baseline_high_p99_ms / reserved_high_p99_ms.max(1e-9),
-    }
+    let baseline_ms = run(0);
+    let reserved_ms = run(1);
+    let improvement = baseline_ms / reserved_ms.max(1e-9);
+    println!(
+        "reserved_lane_study ({low_backlog} low backlog of {low_ms} ms batches, {probes} \
+         class-0 probes): high p99 {baseline_ms:.1} ms on the plain pool vs {reserved_ms:.2} \
+         ms with a reserved worker = {improvement:.1}x"
+    );
+    assert!(
+        improvement >= 3.0,
+        "a reserved lane must cut high-class p99 at least 3x: {baseline_ms:.1} ms -> \
+         {reserved_ms:.2} ms ({improvement:.1}x)"
+    );
+    check_metric("reserved_high_p99_ms", reserved_ms);
+    Json::object()
+        .field("pool_threads", 2usize)
+        .field("reserved_threads", 1usize)
+        .field("low_backlog", low_backlog)
+        .field("low_batch_ms", low_ms)
+        .field("high_probes", probes)
+        .field("baseline_high_p99_ms", Json::fixed(baseline_ms, 3))
+        .field("reserved_high_p99_ms", Json::fixed(reserved_ms, 3))
+        .field("improvement", Json::fixed(improvement, 3))
+        .field("improvement_floor", Json::fixed(3.0, 1))
 }
 
-/// Loopback TCP study of the network edge: an echo server behind
-/// `NetServer` on an ephemeral port, `conns` client threads each keeping
-/// `window` request frames in flight on its own socket. Measures
-/// end-to-end wire throughput and submit-to-response latency — framing,
-/// the reactor hop, CQ admission, and the response flush all included —
-/// the socket-facing analogue of the in-process async-vs-sync phase.
-fn net_loopback_study(
-    conns: usize,
-    window: usize,
-    requests_per_conn: usize,
-    payload_bytes: usize,
-) -> NetLoopback {
-    let server: Server<Vec<u8>, Vec<u8>> = Server::new(
-        Pool::new(4),
-        BatchPolicy {
-            max_batch: 16,
-            max_wait: Duration::from_micros(200),
-        },
-    );
-    server
-        .register(ScenarioSpec::new("echo", "wire"), |xs: &[Vec<u8>]| {
-            xs.to_vec()
-        })
-        .expect("echo registration failed");
-    let net = NetServer::bind(
-        &server,
-        NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            reactors: 2,
-            per_conn_inflight: window.max(1),
-        },
-    )
-    .expect("bind loopback");
-    let addr = net.local_addr();
-
-    let start = Instant::now();
-    let mut handles = Vec::new();
-    for _ in 0..conns {
-        handles.push(std::thread::spawn(move || -> Vec<f64> {
-            let mut client = NetClient::connect(addr).expect("connect loopback");
-            let payload = vec![0u8; payload_bytes];
-            let mut sent_at: HashMap<u64, Instant> = HashMap::new();
-            let mut lat_ms = Vec::with_capacity(requests_per_conn);
-            let mut sent = 0usize;
-            while lat_ms.len() < requests_per_conn {
-                while sent < requests_per_conn && sent_at.len() < window {
-                    let corr = client.submit("echo", "wire", &payload).expect("submit");
-                    sent_at.insert(corr, Instant::now());
-                    sent += 1;
-                }
-                let resp = client.recv().expect("recv");
-                assert_eq!(resp.status, Status::Ok, "echo over the wire must be Ok");
-                let t0 = sent_at
-                    .remove(&resp.corr)
-                    .expect("response for unknown corr");
-                lat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            lat_ms
-        }));
+/// Admission-cap shedding: a burst far beyond a packed registration's
+/// queue cap must be shed with the typed error while accepted requests
+/// keep bounded queue depth (and therefore bounded p99).
+fn load_shedding_study() -> Json {
+    let queue_cap = env_usize("SERVE_BENCH_QUEUE_CAP", 64);
+    let offered = env_usize("SERVE_BENCH_SHED_OFFERED", 2048);
+    let (server, inputs) = mlp_server("lp8_shed", queue_cap);
+    let cq = server.async_client();
+    let ep = cq.endpoint("mlp_256", "lp8_shed").expect("endpoint");
+    let mut accepted = 0usize;
+    let mut shed = 0usize;
+    for i in 0..offered {
+        match ep.submit(inputs[i % inputs.len()].clone()) {
+            Ok(_) => accepted += 1,
+            Err(ServeError::Rejected { .. }) => shed += 1,
+            Err(e) => panic!("unexpected admission error: {e}"),
+        }
     }
-    let mut lat_ms: Vec<f64> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("net client thread panicked"))
-        .collect();
-    let wall_s = start.elapsed().as_secs_f64();
-    lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("latency is finite"));
-    let total = conns * requests_per_conn;
-    let stats = net.stats();
-    net.shutdown();
+    for _ in 0..accepted {
+        cq.wait(Duration::from_secs(60))
+            .expect("shed-study completion lost")
+            .result
+            .expect("accepted request failed");
+    }
+    let snap = server.stats("mlp_256", "lp8_shed").expect("shed stats");
     server.shutdown();
-    NetLoopback {
-        connections: conns,
-        in_flight: window,
-        requests_per_conn,
-        payload_bytes,
-        total_requests: total,
-        wall_s,
-        req_per_s: total as f64 / wall_s.max(1e-12),
-        p50_ms: serve::percentile(&lat_ms, 50.0),
-        p99_ms: serve::percentile(&lat_ms, 99.0),
-        frames_in: stats.frames_in,
-        frames_out: stats.frames_out,
-        protocol_errors: stats.protocol_errors,
-    }
+    let p99_ms = snap.p99_s * 1e3;
+    println!(
+        "load_shedding (cap {queue_cap}): offered {offered} in a burst, accepted {accepted}, \
+         shed {shed} ({:.1}%), accepted p99 {p99_ms:.3} ms, max queue depth {}",
+        100.0 * shed as f64 / offered.max(1) as f64,
+        snap.max_queue_depth
+    );
+    assert!(shed > 0, "offered {offered} must overrun cap {queue_cap}");
+    assert_eq!(snap.shed, shed as u64, "stats must count every shed");
+    assert!(
+        snap.max_queue_depth <= queue_cap,
+        "cap must bound queue depth: {} > {queue_cap}",
+        snap.max_queue_depth
+    );
+    check_metric("shed_p99_ms", p99_ms);
+    Json::object()
+        .field("model", "mlp_256")
+        .field("queue_cap", queue_cap)
+        .field("offered_burst", offered)
+        .field("accepted", accepted)
+        .field("shed", shed)
+        .field(
+            "shed_fraction",
+            Json::fixed(shed as f64 / offered.max(1) as f64, 4),
+        )
+        .field("accepted_p99_ms", Json::fixed(p99_ms, 3))
+        .field("max_queue_depth", snap.max_queue_depth)
 }
 
-fn main() {
-    // The overload study admits right up to the forecast boundary, so a
-    // safety factor above 1 is what keeps accepted tail latency strictly
-    // inside the budget. Default it before the first predictive submit
-    // can latch the process-wide value; an explicit environment override
-    // still wins.
-    if std::env::var_os(serve::overload::SAFETY_ENV).is_none() {
-        std::env::set_var(serve::overload::SAFETY_ENV, "1.5");
+/// What does observability cost? The packed MLP registration driven
+/// through the async front with ring-buffer event recording off and on,
+/// interleaved; then a short traced run exported as a Chrome trace to
+/// `TRACE_serve.json`.
+fn trace_overhead_study() -> Json {
+    let requests = env_usize("SERVE_BENCH_TRACE_REQUESTS", 2048);
+    let reps = env_usize("SERVE_BENCH_TRACE_REPS", 3);
+    let window = env_usize("SERVE_BENCH_TRACE_INFLIGHT", 256);
+    let max_overhead_frac = env_usize("SERVE_BENCH_TRACE_MAX_OVERHEAD_PCT", 5) as f64 / 100.0;
+    let (server, inputs) = mlp_server("lp8_trace", window * 2);
+    let was = trace::enabled();
+    // Warm both modes with one untimed rep of the timed shape. A smaller
+    // warm-up left the first timed rep, always untraced, faster than
+    // every later one in some processes, and best-of handed that outlier
+    // to the untraced side.
+    for on in [false, true] {
+        trace::set_enabled(on);
+        async_single_driver(&server, &inputs, window, requests);
     }
-    let requests = bench::env_usize("SERVE_BENCH_REQUESTS", 240);
-    let clients = bench::env_usize("SERVE_BENCH_CLIENTS", 8);
-    let pool = Pool::global();
-    println!(
-        "serve_throughput: {} pool workers, {requests} requests, {clients} clients",
-        pool.threads()
-    );
-
-    // ------------------------------------------------------------------
-    // Part 1: batched packed serving vs per-input f32 fan-out, same model,
-    // same scheme, same load. max_batch 4 with more clients than batch
-    // slots keeps several batches in flight, so both paths saturate the
-    // pool and the delta isolates the hot path itself.
-    // ------------------------------------------------------------------
-    let ab_requests = bench::env_usize("SERVE_BENCH_AB_REQUESTS", 600);
-    let ab_clients = bench::env_usize("SERVE_BENCH_AB_CLIENTS", 16);
-    let ab_policy = BatchPolicy {
-        max_batch: 4,
-        max_wait: Duration::from_millis(2),
-    };
-    let mlp = ServedModel::new(mlp_model());
-    let mlp_inputs: Vec<Tensor> = (0..16)
-        .map(|s| bench::pseudo_tensor(&[256], s as f32 * 1.77))
-        .collect();
-    let mlp_combo = vec![("mlp_256".to_string(), "lp8".to_string())];
-    let per_input_rps = {
-        let server: Server<Tensor, Tensor> = Server::new(pool.clone(), ab_policy);
-        mlp.register_per_input(&server, "lp8", bench::uniform_lp_scheme(mlp.model(), 8))
-            .expect("per-input registration failed");
-        // Warm up outside the timed window.
-        let _ = hammer(&server, &mlp_combo, &mlp_inputs, ab_clients, ab_clients * 2);
-        let (_, rps) = hammer(&server, &mlp_combo, &mlp_inputs, ab_clients, ab_requests);
-        server.shutdown();
-        rps
-    };
-    let (batched_rps, mean_batch) = {
-        let server: Server<Tensor, Tensor> = Server::new(pool.clone(), ab_policy);
-        mlp.register(&server, "lp8", bench::uniform_lp_scheme(mlp.model(), 8))
-            .expect("batched registration failed");
-        // Warm up against a twin registration (cache-shared codes, same
-        // model) so the timed registration's batch-size totals count
-        // *only* the timed window's dispatches.
-        mlp.register(
-            &server,
-            "lp8_warmup",
-            bench::uniform_lp_scheme(mlp.model(), 8),
-        )
-        .expect("warmup registration failed");
-        let warm_combo = vec![("mlp_256".to_string(), "lp8_warmup".to_string())];
-        let _ = hammer(
-            &server,
-            &warm_combo,
-            &mlp_inputs,
-            ab_clients,
-            ab_clients * 2,
-        );
-        let (_, rps) = hammer(&server, &mlp_combo, &mlp_inputs, ab_clients, ab_requests);
-        let mean_batch = server
-            .batch_size_stats("mlp_256", "lp8")
-            .expect("batch sizes")
-            .mean();
-        server.shutdown();
-        (rps, mean_batch)
-    };
-    let ab = AbResult {
-        requests: ab_requests,
-        clients: ab_clients,
-        policy: ab_policy,
-        per_input_rps,
-        batched_rps,
-        mean_batch,
-    };
-    println!(
-        "batched vs per-input (mlp_256, {ab_clients} clients, max_batch 4): \
-         per-input {per_input_rps:.0} req/s, batched packed {batched_rps:.0} req/s \
-         ({:.2}x), mean dispatched batch {mean_batch:.2}",
-        batched_rps / per_input_rps.max(1e-12)
-    );
-
-    // ------------------------------------------------------------------
-    // Part 2: async completion-queue front-end vs thread-per-request
-    // synchronous clients, same registration, same offered load — then an
-    // overload study on a capped registration to exercise load shedding.
-    // ------------------------------------------------------------------
-    let window = bench::env_usize("SERVE_BENCH_INFLIGHT", 1536);
-    let async_total = bench::env_usize("SERVE_BENCH_ASYNC_REQUESTS", 4096);
-    let queue_cap = bench::env_usize("SERVE_BENCH_QUEUE_CAP", 64);
-    let shed_offered = bench::env_usize("SERVE_BENCH_SHED_OFFERED", 2048);
-    let avs = {
-        let server: Server<Tensor, Tensor> = Server::new(pool.clone(), ab_policy);
-        // Throughput registration: cap well above the window so the
-        // comparison itself never sheds. (The codes are shared with the
-        // part-1 registrations through the model's weight cache — packing
-        // here costs nothing.)
-        let throughput_cap = window * 2;
-        mlp.register_spec(
-            &server,
-            ScenarioSpec::new("", "lp8_async").queue_cap(throughput_cap),
-            bench::uniform_lp_scheme(mlp.model(), 8),
-        )
-        .expect("async registration failed");
-        // Warm both faces briefly outside the timed windows, scaled down
-        // from the real window so tiny smoke configurations (window <
-        // cap-sized warm-up loads) cannot trip admission control.
-        let warm_window = (window / 4).clamp(1, 64);
-        let _ = sync_thread_per_request(
-            &server,
-            "mlp_256",
-            "lp8_async",
-            &mlp_inputs,
-            warm_window,
-            warm_window * 2,
-        );
-        let _ = async_single_driver(
-            &server,
-            "mlp_256",
-            "lp8_async",
-            &mlp_inputs,
-            warm_window,
-            warm_window * 2,
-        );
-        let sync_rps = sync_thread_per_request(
-            &server,
-            "mlp_256",
-            "lp8_async",
-            &mlp_inputs,
-            window,
-            async_total,
-        );
-        let (async_rps, max_inflight) = async_single_driver(
-            &server,
-            "mlp_256",
-            "lp8_async",
-            &mlp_inputs,
-            window,
-            async_total,
-        );
-
-        // Overload study: a burst far beyond the cap must be shed with the
-        // typed error while accepted requests keep bounded queue depth
-        // (and therefore bounded p99).
-        mlp.register_spec(
-            &server,
-            ScenarioSpec::new("", "lp8_shed").queue_cap(queue_cap),
-            bench::uniform_lp_scheme(mlp.model(), 8),
-        )
-        .expect("capped registration failed");
-        let cq = server.async_client();
-        let ep = cq.endpoint("mlp_256", "lp8_shed").expect("endpoint");
-        let mut accepted = 0usize;
-        let mut shed = 0usize;
-        for i in 0..shed_offered {
-            match ep.submit(mlp_inputs[i % mlp_inputs.len()].clone()) {
-                Ok(_) => accepted += 1,
-                Err(ServeError::Rejected { .. }) => shed += 1,
-                Err(e) => panic!("unexpected admission error: {e}"),
-            }
-        }
-        for _ in 0..accepted {
-            cq.wait(Duration::from_secs(60))
-                .expect("shed-study completion lost")
-                .result
-                .expect("accepted request failed");
-        }
-        let snap = server.stats("mlp_256", "lp8_shed").expect("shed stats");
-        assert!(
-            shed > 0,
-            "offered {shed_offered} must overrun cap {queue_cap}"
-        );
-        assert_eq!(snap.shed, shed as u64, "stats must count every shed");
-        assert!(
-            snap.max_queue_depth <= queue_cap,
-            "cap must bound queue depth: {} > {queue_cap}",
-            snap.max_queue_depth
-        );
-        server.shutdown();
-        AsyncVsSync {
-            total: async_total,
-            window,
-            sync_rps,
-            async_rps,
-            max_inflight,
-            throughput_queue_cap: throughput_cap,
-            shed: ShedResult {
-                queue_cap,
-                offered: shed_offered,
-                accepted,
-                shed,
-                p99_ms: snap.p99_s * 1e3,
-                max_queue_depth: snap.max_queue_depth,
-            },
-        }
-    };
-    println!(
-        "async vs sync (mlp_256, window {}, {} requests): sync thread-per-request \
-         {:.0} req/s ({} OS threads), async completion-queue {:.0} req/s \
-         (1 driver thread, max {} tickets in flight) = {:.2}x",
-        avs.window,
-        avs.total,
-        avs.sync_rps,
-        avs.window,
-        avs.async_rps,
-        avs.max_inflight,
-        avs.async_rps / avs.sync_rps.max(1e-12)
-    );
-    println!(
-        "load shedding (cap {}): offered {} in a burst, accepted {}, shed {} \
-         ({:.1}%), accepted p99 {:.3} ms, max queue depth {}",
-        avs.shed.queue_cap,
-        avs.shed.offered,
-        avs.shed.accepted,
-        avs.shed.shed,
-        100.0 * avs.shed.shed as f64 / avs.shed.offered.max(1) as f64,
-        avs.shed.p99_ms,
-        avs.shed.max_queue_depth
-    );
-
-    // ------------------------------------------------------------------
-    // Part 3: the pluggable scheduling layer, on dedicated fixed-size
-    // pools with sleep-calibrated batch functions (box-independent).
-    // ------------------------------------------------------------------
-    let wfq_backlog = bench::env_usize("SERVE_BENCH_WFQ_BACKLOG", 1200);
-    let prio_backlog = bench::env_usize("SERVE_BENCH_PRIO_BACKLOG", 60);
-    let prio_probes = bench::env_usize("SERVE_BENCH_PRIO_PROBES", 20);
-    let deadline_budget_ms = bench::env_usize("SERVE_BENCH_DEADLINE_BUDGET_MS", 1000) as u64;
-    let deadline_burst = bench::env_usize("SERVE_BENCH_DEADLINE_BURST", 4096);
-    let policy = PolicyStudy {
-        wfq: wfq_study(wfq_backlog),
-        prio: prio_study(prio_backlog, prio_probes),
-        deadline: deadline_study(deadline_budget_ms, deadline_burst),
-    };
-    println!(
-        "policy_study wfq (weights {:?}, backlog {} each): counts {:?}, \
-         shares [{:.3}, {:.3}, {:.3}] vs expected [{:.3}, {:.3}, {:.3}], \
-         max rel err {:.3}",
-        policy.wfq.weights,
-        policy.wfq.backlog,
-        policy.wfq.counts,
-        policy.wfq.shares[0],
-        policy.wfq.shares[1],
-        policy.wfq.shares[2],
-        policy.wfq.expected[0],
-        policy.wfq.expected[1],
-        policy.wfq.expected[2],
-        policy.wfq.max_rel_err
-    );
-    assert!(
-        policy.wfq.max_rel_err <= 0.20,
-        "WFQ throughput shares must track weights within 20%: rel err {:.3}",
-        policy.wfq.max_rel_err
-    );
-    println!(
-        "policy_study strict_priority ({} low backlog, {} class-0 probes): \
-         high p99 {:.1} ms vs low p99 {:.1} ms, low passed_over {}",
-        policy.prio.low_backlog,
-        policy.prio.probes,
-        policy.prio.high_p99_ms,
-        policy.prio.low_p99_ms,
-        policy.prio.low_passed_over
-    );
-    assert!(
-        policy.prio.high_p99_ms < policy.prio.low_p99_ms,
-        "class 0 must not wait behind the class-5 backlog"
-    );
-    assert!(
-        policy.prio.low_passed_over > 0,
-        "bypasses must be visible in the starvation counter"
-    );
-    println!(
-        "policy_study deadline (budget {} ms, burst {}): completed {}, \
-         shed {} expired at dispatch, accepted p99 {:.1} ms",
-        policy.deadline.budget_ms,
-        policy.deadline.offered,
-        policy.deadline.completed,
-        policy.deadline.shed_deadline,
-        policy.deadline.accepted_p99_ms
-    );
-    assert!(
-        policy.deadline.shed_deadline > 0,
-        "the overload burst must shed expired work"
-    );
-    assert!(
-        policy.deadline.accepted_p99_ms < policy.deadline.budget_ms as f64,
-        "accepted p99 {:.1} ms must stay under the {} ms budget",
-        policy.deadline.accepted_p99_ms,
-        policy.deadline.budget_ms
-    );
-
-    // ------------------------------------------------------------------
-    // Part 3b: the overload-control layer — predictive admission under a
-    // doomed burst, and the reserved high-lane A/B.
-    // ------------------------------------------------------------------
-    let overload_budget_ms = bench::env_usize("SERVE_BENCH_OVERLOAD_BUDGET_MS", 150) as u64;
-    let overload_service_ms = bench::env_usize("SERVE_BENCH_OVERLOAD_SERVICE_MS", 15) as u64;
-    let overload_burst = bench::env_usize("SERVE_BENCH_OVERLOAD_BURST", 256);
-    let overload = overload_study(overload_budget_ms, overload_service_ms, overload_burst);
-    println!(
-        "overload_study predictive (budget {} ms, {} ms batches, burst {}, \
-         safety {:.2}): accepted {}, completed {}, shed {} at submit + {} at \
-         dispatch (early fraction {:.3}), accepted p99 {:.1} ms",
-        overload.budget_ms,
-        overload.service_ms,
-        overload.burst,
-        overload.safety,
-        overload.accepted,
-        overload.completed,
-        overload.shed_predicted,
-        overload.shed_deadline,
-        overload.early_shed_fraction,
-        overload.accepted_p99_ms
-    );
-    assert!(
-        overload.shed_predicted > 0 && overload.completed >= 1,
-        "the burst must split into admitted and predictively shed requests"
-    );
-    assert!(
-        overload.early_shed_fraction >= 0.8,
-        "at least 80% of sheds must happen at submit, not dispatch: {:.3}",
-        overload.early_shed_fraction
-    );
-    assert!(
-        overload.accepted_p99_ms < overload.budget_ms as f64,
-        "accepted p99 {:.1} ms must stay under the {} ms budget",
-        overload.accepted_p99_ms,
-        overload.budget_ms
-    );
-    let lane_backlog = bench::env_usize("SERVE_BENCH_RESERVED_BACKLOG", 40);
-    let lane_probes = bench::env_usize("SERVE_BENCH_RESERVED_PROBES", 12);
-    let lane_low_ms = bench::env_usize("SERVE_BENCH_RESERVED_LOW_MS", 25) as u64;
-    let lanes = reserved_lane_study(lane_backlog, lane_probes, lane_low_ms);
-    println!(
-        "reserved_lane_study ({} low backlog of {} ms batches, {} class-0 \
-         probes): high p99 {:.1} ms on the plain pool vs {:.2} ms with a \
-         reserved worker = {:.1}x",
-        lanes.low_backlog,
-        lanes.low_ms,
-        lanes.probes,
-        lanes.baseline_high_p99_ms,
-        lanes.reserved_high_p99_ms,
-        lanes.improvement
-    );
-    assert!(
-        lanes.improvement >= 3.0,
-        "a reserved lane must cut high-class p99 at least 3x: {:.1} ms -> {:.2} ms ({:.1}x)",
-        lanes.baseline_high_p99_ms,
-        lanes.reserved_high_p99_ms,
-        lanes.improvement
-    );
-
-    // ------------------------------------------------------------------
-    // Part 3d: the network edge. Loopback TCP echo through the framed
-    // wire protocol — N connections x M in-flight frames per connection.
-    // ------------------------------------------------------------------
-    let net_conns = bench::env_usize("SERVE_BENCH_NET_CONNS", 4);
-    let net_window = bench::env_usize("SERVE_BENCH_NET_INFLIGHT", 8);
-    let net_requests = bench::env_usize("SERVE_BENCH_NET_REQUESTS", 1000);
-    let net_payload = bench::env_usize("SERVE_BENCH_NET_PAYLOAD", 64);
-    let net = net_loopback_study(net_conns, net_window, net_requests, net_payload);
-    println!(
-        "net_loopback ({} conns x {} in flight, {} reqs/conn, {} B payload): \
-         {:.0} req/s, p50 {:.3} ms, p99 {:.3} ms",
-        net.connections,
-        net.in_flight,
-        net.requests_per_conn,
-        net.payload_bytes,
-        net.req_per_s,
-        net.p50_ms,
-        net.p99_ms
-    );
-    assert_eq!(
-        net.frames_in, net.total_requests as u64,
-        "every request frame must be decoded exactly once"
-    );
-    assert_eq!(
-        net.frames_out, net.total_requests as u64,
-        "exactly one response frame per accepted request"
-    );
-    assert_eq!(net.protocol_errors, 0, "a clean run has no framing errors");
-
-    // ------------------------------------------------------------------
-    // Part 4: multi-model multi-scenario serving on the packed batched
-    // path, with resident-weight accounting.
-    // ------------------------------------------------------------------
-    let server: Server<Tensor, Tensor> = Server::new(
-        pool.clone(),
-        BatchPolicy {
-            max_batch: 8,
-            max_wait: Duration::from_millis(2),
-        },
-    );
-    let model_names = ["resnet18", "deit_s"];
-    let scenario_bits = [("lp8", 8u32), ("lp4", 4u32)];
-    let mut combos: Vec<(String, String)> = Vec::new();
-    let mut served_models = Vec::new();
-    let mut packed_models: Vec<Arc<Model>> = Vec::new();
-    for name in model_names {
-        let m = bench::model(name);
-        let served = ServedModel::new(m);
-        for (scenario, bits) in scenario_bits {
-            let scheme = bench::uniform_lp_scheme(served.model(), bits);
-            let packed = served
-                .register(&server, scenario, scheme)
-                .expect("registration failed");
-            packed_models.push(packed);
-            combos.push((name.to_string(), scenario.to_string()));
-        }
-        served_models.push(served);
-    }
-    // Code-sharing evidence: re-registering the lp8 scheme under a new
-    // scenario name must not grow the model's weight cache, and the new
-    // packed model must hold the *same* code buffers.
-    let first = &served_models[0];
-    let before = first.cache_len();
-    let mirror = bench::uniform_lp_scheme(first.model(), 8);
-    let mirror_model = first
-        .register(&server, "lp8_mirror", mirror)
-        .expect("mirror registration failed");
-    packed_models.push(mirror_model);
-    let after = first.cache_len();
-    assert_eq!(
-        before, after,
-        "identical scenario must reuse cached packed weights"
-    );
-    println!(
-        "weight-cache reuse: {} entries before and after registering a \
-         duplicate scenario of {} ({} layers)",
-        before,
-        first.model().name(),
-        first.model().num_quant_layers()
-    );
-
-    // Resident weight bytes: the retired path materialized one f32 copy
-    // per scenario; the packed path holds u16 codes shared across
-    // scenarios with the same codec key (dedupe by code-buffer identity).
-    let dense_equiv_bytes: usize = packed_models.iter().map(|m| m.num_params() * 4).sum();
-    let mut seen = HashSet::new();
-    let mut packed_bytes = 0usize;
-    for m in &packed_models {
-        for s in m.layer_storages() {
-            match s.as_packed() {
-                Some(q) => {
-                    if seen.insert(q.codes_ptr()) {
-                        packed_bytes += q.resident_bytes();
-                    }
-                }
-                None => packed_bytes += s.resident_bytes(),
-            }
-        }
-    }
-    let memory = MemoryResult {
-        scenarios: packed_models.len(),
-        dense_equiv_bytes,
-        packed_bytes,
-    };
-    println!(
-        "resident weights over {} scenario registrations: f32-copy equivalent \
-         {:.2} MB, packed codes {:.2} MB ({:.2}x smaller)",
-        memory.scenarios,
-        memory.dense_equiv_bytes as f64 / 1e6,
-        memory.packed_bytes as f64 / 1e6,
-        memory.dense_equiv_bytes as f64 / memory.packed_bytes.max(1) as f64
-    );
-
-    let inputs: Vec<Tensor> = data::synthetic_images(16, &dnn::models::INPUT_SHAPE, 99);
-    let (wall_s, rps) = hammer(&server, &combos, &inputs, clients, requests);
-    println!("served {requests} requests in {wall_s:.3}s = {rps:.1} req/s");
-
-    let mut rows = Vec::new();
-    for (model, scenario) in &combos {
-        let snap = server.stats(model, scenario).expect("stats exist");
-        rows.push(ServingRow {
-            model: model.clone(),
-            scenario: scenario.clone(),
-            count: snap.count,
-            mean_ms: snap.mean_s * 1e3,
-            p50_ms: snap.p50_s * 1e3,
-            p99_ms: snap.p99_s * 1e3,
-            queue_wait_p50_ms: snap.queue_wait.p50_s * 1e3,
-            queue_wait_p99_ms: snap.queue_wait.p99_s * 1e3,
-            service_p50_ms: snap.service.p50_s * 1e3,
-            service_p99_ms: snap.service.p99_s * 1e3,
-            delivery_p50_ms: snap.delivery.p50_s * 1e3,
-            delivery_p99_ms: snap.delivery.p99_s * 1e3,
-            submitted: snap.submitted,
-            shed: snap.shed,
-            shed_deadline: snap.shed_deadline,
-            shed_predicted: snap.shed_predicted,
-            passed_over: snap.passed_over,
-            max_queue_depth: snap.max_queue_depth,
-        });
-    }
-    // The shared stats table (latency + stage breakdown + pool counters)
-    // every bench bin prints instead of rolling its own.
-    print!("{}", server.report());
-    server.shutdown();
-
-    let pool_stats = pool.stats();
-
-    // ------------------------------------------------------------------
-    // Part 5: what does observability cost? The same packed registration
-    // driven through the async front with ring-buffer event recording
-    // off and on, interleaved; then a short traced run exported as a
-    // Chrome trace for TRACE_serve.json.
-    // ------------------------------------------------------------------
-    let trace_requests = bench::env_usize("SERVE_BENCH_TRACE_REQUESTS", 2048);
-    let trace_reps = bench::env_usize("SERVE_BENCH_TRACE_REPS", 3);
-    let trace_window = bench::env_usize("SERVE_BENCH_TRACE_INFLIGHT", 256);
-    let max_overhead_frac =
-        bench::env_usize("SERVE_BENCH_TRACE_MAX_OVERHEAD_PCT", 5) as f64 / 100.0;
-    let trace_oh = {
-        let server: Server<Tensor, Tensor> = Server::new(pool.clone(), ab_policy);
-        mlp.register_spec(
-            &server,
-            ScenarioSpec::new("", "lp8_trace").queue_cap(trace_window * 2),
-            bench::uniform_lp_scheme(mlp.model(), 8),
-        )
-        .expect("trace registration failed");
-        let was = trace::enabled();
-        // Warm both modes outside the timed windows.
-        let warm = (trace_window / 4).clamp(1, 64);
-        for on in [false, true] {
-            trace::set_enabled(on);
-            let _ =
-                async_single_driver(&server, "mlp_256", "lp8_trace", &mlp_inputs, warm, warm * 2);
-        }
-        let (mut best_off, mut best_on) = (0.0f64, 0.0f64);
-        for _ in 0..trace_reps.max(1) {
-            trace::set_enabled(false);
-            let (rps, _) = async_single_driver(
-                &server,
-                "mlp_256",
-                "lp8_trace",
-                &mlp_inputs,
-                trace_window,
-                trace_requests,
-            );
-            best_off = best_off.max(rps);
-            trace::set_enabled(true);
-            let (rps, _) = async_single_driver(
-                &server,
-                "mlp_256",
-                "lp8_trace",
-                &mlp_inputs,
-                trace_window,
-                trace_requests,
-            );
-            best_on = best_on.max(rps);
-        }
-        // Capture run for the committed trace artifact: small enough to
-        // stay inside the default ring capacity so Submit→Complete pairs
-        // survive for every request.
+    let (mut untraced_rps, mut traced_rps) = (0.0f64, 0.0f64);
+    for _ in 0..reps {
+        trace::set_enabled(false);
+        let rps = async_single_driver(&server, &inputs, window, requests);
+        untraced_rps = untraced_rps.max(rps);
         trace::set_enabled(true);
-        trace::clear();
-        let capture = trace_requests.min(256);
-        let _ = async_single_driver(
-            &server,
-            "mlp_256",
-            "lp8_trace",
-            &mlp_inputs,
-            trace_window.min(capture),
-            capture,
-        );
-        let chrome = trace::export_chrome();
-        assert!(
-            chrome.contains("\"ph\": \"s\"") && chrome.contains("\"ph\": \"f\""),
-            "exported trace must pair request flow events"
-        );
-        let tstats = trace::stats();
-        trace::set_enabled(was);
-        server.shutdown();
-        let trace_path = bench::artifact_path("TRACE_serve.json");
-        match std::fs::write(&trace_path, &chrome) {
-            Ok(()) => println!("wrote {} ({} bytes)", trace_path.display(), chrome.len()),
-            Err(e) => eprintln!("could not write {}: {e}", trace_path.display()),
-        }
-        TraceOverhead {
-            requests: trace_requests,
-            window: trace_window,
-            reps: trace_reps,
-            untraced_rps: best_off,
-            traced_rps: best_on,
-            overhead_frac: 1.0 - best_on / best_off.max(1e-12),
-            max_overhead_frac,
-            ring_cap: trace::ring_capacity(),
-            events_recorded: tstats.recorded,
-            trace_rings: tstats.rings,
-        }
-    };
+        let rps = async_single_driver(&server, &inputs, window, requests);
+        traced_rps = traced_rps.max(rps);
+    }
+    // Capture run for the committed trace artifact: small enough to
+    // stay inside the default ring capacity so Submit→Complete pairs
+    // survive for every request.
+    trace::set_enabled(true);
+    trace::clear();
+    let capture = requests.min(256);
+    async_single_driver(&server, &inputs, window.min(capture), capture);
+    let chrome = trace::export_chrome();
+    assert!(
+        chrome.contains("\"ph\": \"s\"") && chrome.contains("\"ph\": \"f\""),
+        "exported trace must pair request flow events"
+    );
+    let tstats = trace::stats();
+    trace::set_enabled(was);
+    server.shutdown();
+    let trace_path = bench::artifact_path("TRACE_serve.json");
+    std::fs::write(&trace_path, &chrome)
+        .unwrap_or_else(|e| panic!("could not write {}: {e}", trace_path.display()));
+    println!("wrote {} ({} bytes)", trace_path.display(), chrome.len());
+    let overhead_frac = 1.0 - traced_rps / untraced_rps.max(1e-12);
     println!(
-        "trace_overhead (window {}, {} requests x {} reps): untraced {:.0} req/s, \
-         traced {:.0} req/s, overhead {:.2}% (budget {:.0}%), {} events in {} rings",
-        trace_oh.window,
-        trace_oh.requests,
-        trace_oh.reps,
-        trace_oh.untraced_rps,
-        trace_oh.traced_rps,
-        trace_oh.overhead_frac * 100.0,
-        trace_oh.max_overhead_frac * 100.0,
-        trace_oh.events_recorded,
-        trace_oh.trace_rings
+        "trace_overhead (window {window}, {requests} requests x {reps} reps): untraced \
+         {untraced_rps:.0} req/s, traced {traced_rps:.0} req/s, overhead {:.2}% (budget \
+         {:.0}%), {} events in {} rings",
+        overhead_frac * 100.0,
+        max_overhead_frac * 100.0,
+        tstats.recorded,
+        tstats.rings
     );
     assert!(
-        trace_oh.overhead_frac < trace_oh.max_overhead_frac,
+        overhead_frac < max_overhead_frac,
         "event recording overhead {:.2}% exceeds the {:.0}% budget",
-        trace_oh.overhead_frac * 100.0,
-        trace_oh.max_overhead_frac * 100.0
+        overhead_frac * 100.0,
+        max_overhead_frac * 100.0
     );
-
-    // Fail loudly on broken measurements before writing the artifact.
-    bench::check_metric("per_input_rps", ab.per_input_rps);
-    bench::check_metric("batched_rps", ab.batched_rps);
-    bench::check_metric("mean_batch", ab.mean_batch);
-    bench::check_metric("sync_rps", avs.sync_rps);
-    bench::check_metric("async_rps", avs.async_rps);
-    bench::check_metric("max_inflight", avs.max_inflight as f64);
-    bench::check_metric("shed_count", avs.shed.shed as f64);
-    bench::check_metric("shed_p99_ms", avs.shed.p99_ms);
-    bench::check_metric("requests_per_s", rps);
-    for (i, &share) in policy.wfq.shares.iter().enumerate() {
-        bench::check_metric(&format!("wfq_share_w{}", policy.wfq.weights[i]), share);
-    }
-    bench::check_metric("prio_high_p99_ms", policy.prio.high_p99_ms);
-    bench::check_metric("prio_low_p99_ms", policy.prio.low_p99_ms);
-    bench::check_metric("prio_low_passed_over", policy.prio.low_passed_over as f64);
-    bench::check_metric("deadline_shed_count", policy.deadline.shed_deadline as f64);
-    bench::check_metric("deadline_accepted_p99_ms", policy.deadline.accepted_p99_ms);
-    bench::check_metric("predictive_shed_count", overload.shed_predicted as f64);
-    bench::check_metric(
-        "predictive_early_shed_fraction",
-        overload.early_shed_fraction,
-    );
-    bench::check_metric("predictive_accepted_p99_ms", overload.accepted_p99_ms);
-    bench::check_metric("reserved_baseline_high_p99_ms", lanes.baseline_high_p99_ms);
-    bench::check_metric("reserved_high_p99_ms", lanes.reserved_high_p99_ms);
-    bench::check_metric("reserved_improvement", lanes.improvement);
-    bench::check_metric("net_req_per_s", net.req_per_s);
-    bench::check_metric("net_p50_ms", net.p50_ms);
-    bench::check_metric("net_p99_ms", net.p99_ms);
-    bench::check_metric("net_frames_in", net.frames_in as f64);
-    bench::check_metric("net_frames_out", net.frames_out as f64);
-    bench::check_metric("dense_equiv_bytes", memory.dense_equiv_bytes as f64);
-    bench::check_metric("packed_bytes", memory.packed_bytes as f64);
-    bench::check_metric("pool_executed", pool_stats.total_executed() as f64);
-    // Stage breakdowns: every part-5 combo received traffic, so each
-    // stage histogram must hold samples (p99 of an empty histogram is 0
-    // and would trip the check).
-    let stage_max = |get: fn(&ServingRow) -> f64| rows.iter().map(get).fold(0.0f64, f64::max);
-    bench::check_metric(
-        "serving_queue_wait_p99_ms",
-        stage_max(|r| r.queue_wait_p99_ms),
-    );
-    bench::check_metric("serving_service_p99_ms", stage_max(|r| r.service_p99_ms));
-    bench::check_metric("serving_delivery_p99_ms", stage_max(|r| r.delivery_p99_ms));
-    bench::check_metric("trace_untraced_rps", trace_oh.untraced_rps);
-    bench::check_metric("trace_traced_rps", trace_oh.traced_rps);
-    bench::check_metric("trace_events_recorded", trace_oh.events_recorded as f64);
-    // Positive iff the measured overhead sits under the budget — turns
-    // the <5% gate into a checked metric, not just prose.
-    bench::check_metric(
-        "trace_headroom",
-        trace_oh.max_overhead_frac - trace_oh.overhead_frac,
-    );
-
-    write_json(
-        pool.threads(),
-        &ab,
-        &avs,
-        &policy,
-        &overload,
-        &lanes,
-        &net,
-        &memory,
-        requests,
-        wall_s,
-        rps,
-        (before, first.model().num_quant_layers()),
-        &rows,
-        &pool_stats,
-        &trace_oh,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    threads: usize,
-    ab: &AbResult,
-    avs: &AsyncVsSync,
-    policy: &PolicyStudy,
-    overload: &OverloadStudy,
-    lanes: &ReservedLaneStudy,
-    net: &NetLoopback,
-    memory: &MemoryResult,
-    requests: usize,
-    wall_s: f64,
-    rps: f64,
-    cache: (usize, usize),
-    rows: &[ServingRow],
-    pool_stats: &serve::pool::PoolStats,
-    trace_oh: &TraceOverhead,
-) {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"pool_threads\": {threads},\n"));
-    // Run configuration, so every artifact is self-describing: the thread
-    // count, batching policy, load, and queue caps that produced it.
-    out.push_str("  \"config\": {\n");
-    // Validate rather than quote: SERVE_THREADS is numeric or absent, and
-    // embedding an arbitrary env string could break the JSON.
-    out.push_str(&format!(
-        "    \"serve_threads_env\": {},\n",
-        std::env::var("SERVE_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or_else(|| "null".to_string(), |n| n.to_string())
-    ));
-    out.push_str(&format!("    \"pool_threads\": {threads},\n"));
-    out.push_str(&format!("    \"ab_max_batch\": {},\n", ab.policy.max_batch));
-    out.push_str(&format!(
-        "    \"ab_max_wait_ms\": {},\n",
-        ab.policy.max_wait.as_millis()
-    ));
-    out.push_str(&format!("    \"ab_requests\": {},\n", ab.requests));
-    out.push_str(&format!("    \"ab_clients\": {},\n", ab.clients));
-    out.push_str(&format!("    \"async_inflight_window\": {},\n", avs.window));
-    out.push_str(&format!("    \"async_requests\": {},\n", avs.total));
-    out.push_str(&format!(
-        "    \"async_throughput_queue_cap\": {},\n",
-        avs.throughput_queue_cap
-    ));
-    out.push_str(&format!(
-        "    \"shed_queue_cap\": {},\n",
-        avs.shed.queue_cap
-    ));
-    out.push_str(&format!("    \"shed_offered\": {},\n", avs.shed.offered));
-    out.push_str(&format!("    \"wfq_backlog\": {},\n", policy.wfq.backlog));
-    out.push_str(&format!(
-        "    \"prio_backlog\": {},\n",
-        policy.prio.low_backlog
-    ));
-    out.push_str(&format!("    \"prio_probes\": {},\n", policy.prio.probes));
-    out.push_str(&format!(
-        "    \"deadline_budget_ms\": {},\n",
-        policy.deadline.budget_ms
-    ));
-    out.push_str(&format!(
-        "    \"deadline_burst\": {},\n",
-        policy.deadline.offered
-    ));
-    out.push_str(&format!(
-        "    \"overload_budget_ms\": {},\n",
-        overload.budget_ms
-    ));
-    out.push_str(&format!(
-        "    \"overload_service_ms\": {},\n",
-        overload.service_ms
-    ));
-    out.push_str(&format!("    \"overload_burst\": {},\n", overload.burst));
-    out.push_str(&format!(
-        "    \"predict_safety_factor\": {:.3},\n",
-        overload.safety
-    ));
-    out.push_str(&format!(
-        "    \"reserved_backlog\": {},\n",
-        lanes.low_backlog
-    ));
-    out.push_str(&format!("    \"reserved_probes\": {},\n", lanes.probes));
-    out.push_str(&format!("    \"reserved_low_ms\": {},\n", lanes.low_ms));
-    out.push_str(&format!("    \"net_connections\": {},\n", net.connections));
-    out.push_str(&format!("    \"net_inflight\": {},\n", net.in_flight));
-    out.push_str(&format!(
-        "    \"net_requests_per_conn\": {},\n",
-        net.requests_per_conn
-    ));
-    out.push_str(&format!(
-        "    \"net_payload_bytes\": {},\n",
-        net.payload_bytes
-    ));
-    out.push_str(&format!("    \"serving_requests\": {requests}\n"));
-    out.push_str("  },\n");
-    out.push_str("  \"batched_vs_per_input\": {\n");
-    out.push_str("    \"model\": \"mlp_256\",\n");
-    out.push_str(&format!("    \"requests\": {},\n", ab.requests));
-    out.push_str(&format!("    \"clients\": {},\n", ab.clients));
-    out.push_str(&format!("    \"max_batch\": {},\n", ab.policy.max_batch));
-    out.push_str(&format!(
-        "    \"per_input_f32_rps\": {:.1},\n",
-        ab.per_input_rps
-    ));
-    out.push_str(&format!(
-        "    \"batched_packed_rps\": {:.1},\n",
-        ab.batched_rps
-    ));
-    out.push_str(&format!(
-        "    \"batched_speedup\": {:.3},\n",
-        ab.batched_rps / ab.per_input_rps.max(1e-12)
-    ));
-    out.push_str(&format!(
-        "    \"mean_dispatched_batch\": {:.2}\n",
-        ab.mean_batch
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"async_vs_sync\": {\n");
-    out.push_str("    \"model\": \"mlp_256\",\n");
-    out.push_str(&format!("    \"requests\": {},\n", avs.total));
-    out.push_str(&format!("    \"inflight_window\": {},\n", avs.window));
-    out.push_str("    \"async_driver_threads\": 1,\n");
-    out.push_str(&format!("    \"sync_client_threads\": {},\n", avs.window));
-    out.push_str(&format!(
-        "    \"sync_thread_per_request_rps\": {:.1},\n",
-        avs.sync_rps
-    ));
-    out.push_str(&format!(
-        "    \"async_completion_queue_rps\": {:.1},\n",
-        avs.async_rps
-    ));
-    out.push_str(&format!(
-        "    \"async_over_sync\": {:.3},\n",
-        avs.async_rps / avs.sync_rps.max(1e-12)
-    ));
-    out.push_str(&format!(
-        "    \"max_inflight_tickets\": {},\n",
-        avs.max_inflight
-    ));
-    out.push_str(&format!(
-        "    \"throughput_queue_cap\": {},\n",
-        avs.throughput_queue_cap
-    ));
-    out.push_str("    \"load_shedding\": {\n");
-    out.push_str(&format!("      \"queue_cap\": {},\n", avs.shed.queue_cap));
-    out.push_str(&format!("      \"offered_burst\": {},\n", avs.shed.offered));
-    out.push_str(&format!("      \"accepted\": {},\n", avs.shed.accepted));
-    out.push_str(&format!("      \"shed\": {},\n", avs.shed.shed));
-    out.push_str(&format!(
-        "      \"shed_fraction\": {:.4},\n",
-        avs.shed.shed as f64 / avs.shed.offered.max(1) as f64
-    ));
-    out.push_str(&format!(
-        "      \"accepted_p99_ms\": {:.3},\n",
-        avs.shed.p99_ms
-    ));
-    out.push_str(&format!(
-        "      \"max_queue_depth\": {}\n",
-        avs.shed.max_queue_depth
-    ));
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-    out.push_str("  \"policy_study\": {\n");
-    out.push_str("    \"wfq\": {\n");
-    out.push_str("      \"policy\": \"weighted_fair\",\n");
-    out.push_str(&format!(
-        "      \"weights\": [{}, {}, {}],\n",
-        policy.wfq.weights[0], policy.wfq.weights[1], policy.wfq.weights[2]
-    ));
-    out.push_str(&format!(
-        "      \"backlog_per_scenario\": {},\n",
-        policy.wfq.backlog
-    ));
-    out.push_str(&format!(
-        "      \"counts\": [{}, {}, {}],\n",
-        policy.wfq.counts[0], policy.wfq.counts[1], policy.wfq.counts[2]
-    ));
-    out.push_str(&format!(
-        "      \"shares\": [{:.4}, {:.4}, {:.4}],\n",
-        policy.wfq.shares[0], policy.wfq.shares[1], policy.wfq.shares[2]
-    ));
-    out.push_str(&format!(
-        "      \"expected_shares\": [{:.4}, {:.4}, {:.4}],\n",
-        policy.wfq.expected[0], policy.wfq.expected[1], policy.wfq.expected[2]
-    ));
-    out.push_str(&format!(
-        "      \"max_rel_err\": {:.4},\n",
-        policy.wfq.max_rel_err
-    ));
-    out.push_str("      \"tolerance\": 0.20\n");
-    out.push_str("    },\n");
-    out.push_str("    \"strict_priority\": {\n");
-    out.push_str("      \"policy\": \"strict_priority\",\n");
-    out.push_str("      \"low_class\": 5,\n");
-    out.push_str("      \"high_class\": 0,\n");
-    out.push_str(&format!(
-        "      \"low_backlog\": {},\n",
-        policy.prio.low_backlog
-    ));
-    out.push_str(&format!("      \"high_probes\": {},\n", policy.prio.probes));
-    out.push_str(&format!(
-        "      \"high_p99_ms\": {:.3},\n",
-        policy.prio.high_p99_ms
-    ));
-    out.push_str(&format!(
-        "      \"low_p99_ms\": {:.3},\n",
-        policy.prio.low_p99_ms
-    ));
-    out.push_str(&format!(
-        "      \"low_passed_over\": {}\n",
-        policy.prio.low_passed_over
-    ));
-    out.push_str("    },\n");
-    out.push_str("    \"deadline\": {\n");
-    out.push_str(&format!(
-        "      \"budget_ms\": {},\n",
-        policy.deadline.budget_ms
-    ));
-    out.push_str(&format!(
-        "      \"offered_burst\": {},\n",
-        policy.deadline.offered
-    ));
-    out.push_str(&format!(
-        "      \"completed\": {},\n",
-        policy.deadline.completed
-    ));
-    out.push_str(&format!(
-        "      \"shed_deadline\": {},\n",
-        policy.deadline.shed_deadline
-    ));
-    out.push_str(&format!(
-        "      \"accepted_p99_ms\": {:.3}\n",
-        policy.deadline.accepted_p99_ms
-    ));
-    out.push_str("    }\n");
-    out.push_str("  },\n");
-    out.push_str("  \"overload_study\": {\n");
-    out.push_str(&format!("    \"budget_ms\": {},\n", overload.budget_ms));
-    out.push_str(&format!("    \"service_ms\": {},\n", overload.service_ms));
-    out.push_str(&format!("    \"warmups\": {},\n", overload.warmups));
-    out.push_str(&format!("    \"offered_burst\": {},\n", overload.burst));
-    out.push_str(&format!("    \"safety_factor\": {:.3},\n", overload.safety));
-    out.push_str(&format!("    \"accepted\": {},\n", overload.accepted));
-    out.push_str(&format!("    \"completed\": {},\n", overload.completed));
-    out.push_str(&format!(
-        "    \"shed_predicted\": {},\n",
-        overload.shed_predicted
-    ));
-    out.push_str(&format!(
-        "    \"shed_deadline\": {},\n",
-        overload.shed_deadline
-    ));
-    out.push_str(&format!(
-        "    \"early_shed_fraction\": {:.4},\n",
-        overload.early_shed_fraction
-    ));
-    out.push_str("    \"early_shed_fraction_floor\": 0.8,\n");
-    out.push_str(&format!(
-        "    \"accepted_p99_ms\": {:.3}\n",
-        overload.accepted_p99_ms
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"reserved_lane_study\": {\n");
-    out.push_str("    \"pool_threads\": 2,\n");
-    out.push_str("    \"reserved_threads\": 1,\n");
-    out.push_str(&format!("    \"low_backlog\": {},\n", lanes.low_backlog));
-    out.push_str(&format!("    \"low_batch_ms\": {},\n", lanes.low_ms));
-    out.push_str(&format!("    \"high_probes\": {},\n", lanes.probes));
-    out.push_str(&format!(
-        "    \"baseline_high_p99_ms\": {:.3},\n",
-        lanes.baseline_high_p99_ms
-    ));
-    out.push_str(&format!(
-        "    \"reserved_high_p99_ms\": {:.3},\n",
-        lanes.reserved_high_p99_ms
-    ));
-    out.push_str(&format!("    \"improvement\": {:.3},\n", lanes.improvement));
-    out.push_str("    \"improvement_floor\": 3.0\n");
-    out.push_str("  },\n");
-    out.push_str("  \"net_loopback\": {\n");
-    out.push_str("    \"model\": \"echo\",\n");
-    out.push_str(&format!("    \"connections\": {},\n", net.connections));
-    out.push_str(&format!("    \"in_flight\": {},\n", net.in_flight));
-    out.push_str(&format!(
-        "    \"requests_per_conn\": {},\n",
-        net.requests_per_conn
-    ));
-    out.push_str(&format!("    \"payload_bytes\": {},\n", net.payload_bytes));
-    out.push_str(&format!(
-        "    \"total_requests\": {},\n",
-        net.total_requests
-    ));
-    out.push_str(&format!("    \"wall_s\": {:.6},\n", net.wall_s));
-    out.push_str(&format!("    \"req_per_s\": {:.1},\n", net.req_per_s));
-    out.push_str(&format!("    \"p50_ms\": {:.3},\n", net.p50_ms));
-    out.push_str(&format!("    \"p99_ms\": {:.3},\n", net.p99_ms));
-    out.push_str(&format!("    \"frames_in\": {},\n", net.frames_in));
-    out.push_str(&format!("    \"frames_out\": {},\n", net.frames_out));
-    out.push_str(&format!(
-        "    \"protocol_errors\": {}\n",
-        net.protocol_errors
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"resident_weight_bytes\": {\n");
-    out.push_str(&format!(
-        "    \"scenario_registrations\": {},\n",
-        memory.scenarios
-    ));
-    out.push_str(&format!(
-        "    \"dense_f32_equivalent\": {},\n",
-        memory.dense_equiv_bytes
-    ));
-    out.push_str(&format!("    \"packed_codes\": {},\n", memory.packed_bytes));
-    out.push_str(&format!(
-        "    \"reduction\": {:.3}\n",
-        memory.dense_equiv_bytes as f64 / memory.packed_bytes.max(1) as f64
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"serving\": {\n");
-    out.push_str(&format!("    \"total_requests\": {requests},\n"));
-    out.push_str(&format!("    \"wall_s\": {wall_s:.6},\n"));
-    out.push_str(&format!("    \"requests_per_s\": {rps:.1},\n"));
-    out.push_str(&format!(
-        "    \"weight_cache_entries_after_duplicate_scenario\": {},\n",
-        cache.0
-    ));
-    out.push_str(&format!("    \"layers_per_model\": {},\n", cache.1));
-    out.push_str("    \"registrations\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"model\": \"{}\", \"scenario\": \"{}\", \"count\": {}, \
-             \"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-             \"queue_wait_p50_ms\": {:.4}, \"queue_wait_p99_ms\": {:.4}, \
-             \"service_p50_ms\": {:.4}, \"service_p99_ms\": {:.4}, \
-             \"delivery_p50_ms\": {:.4}, \"delivery_p99_ms\": {:.4}, \
-             \"submitted\": {}, \"shed\": {}, \"shed_deadline\": {}, \
-             \"shed_predicted\": {}, \"passed_over\": {}, \"max_queue_depth\": {}}}{}\n",
-            r.model,
-            r.scenario,
-            r.count,
-            r.mean_ms,
-            r.p50_ms,
-            r.p99_ms,
-            r.queue_wait_p50_ms,
-            r.queue_wait_p99_ms,
-            r.service_p50_ms,
-            r.service_p99_ms,
-            r.delivery_p50_ms,
-            r.delivery_p99_ms,
-            r.submitted,
-            r.shed,
-            r.shed_deadline,
-            r.shed_predicted,
-            r.passed_over,
-            r.max_queue_depth,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ]\n  },\n");
-    out.push_str("  \"trace_overhead\": {\n");
-    out.push_str(&format!("    \"requests\": {},\n", trace_oh.requests));
-    out.push_str(&format!("    \"inflight_window\": {},\n", trace_oh.window));
-    out.push_str(&format!("    \"reps\": {},\n", trace_oh.reps));
-    out.push_str(&format!(
-        "    \"untraced_rps\": {:.1},\n",
-        trace_oh.untraced_rps
-    ));
-    out.push_str(&format!(
-        "    \"traced_rps\": {:.1},\n",
-        trace_oh.traced_rps
-    ));
-    out.push_str(&format!(
-        "    \"overhead_frac\": {:.5},\n",
-        trace_oh.overhead_frac
-    ));
-    out.push_str(&format!(
-        "    \"max_overhead_frac\": {:.3},\n",
-        trace_oh.max_overhead_frac
-    ));
-    out.push_str(&format!("    \"ring_cap\": {},\n", trace_oh.ring_cap));
-    out.push_str(&format!(
-        "    \"events_recorded\": {},\n",
-        trace_oh.events_recorded
-    ));
-    out.push_str(&format!("    \"trace_rings\": {}\n", trace_oh.trace_rings));
-    out.push_str("  },\n");
-    out.push_str("  \"pool\": {\n");
-    out.push_str(&format!(
-        "    \"total_executed\": {},\n",
-        pool_stats.total_executed()
-    ));
-    out.push_str(&format!(
-        "    \"total_stolen\": {},\n",
-        pool_stats.total_stolen()
-    ));
-    out.push_str(&format!(
-        "    \"total_steal_failures\": {},\n",
-        pool_stats.total_steal_failures()
-    ));
-    out.push_str(&format!(
-        "    \"total_parks\": {},\n",
-        pool_stats.total_parks()
-    ));
-    out.push_str(&format!(
-        "    \"total_unparks\": {},\n",
-        pool_stats.total_unparks()
-    ));
-    out.push_str("    \"workers\": [\n");
-    for (i, w) in pool_stats.workers.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"executed\": {}, \"stolen\": {}, \"steal_failures\": {}, \
-             \"parks\": {}, \"unparks\": {}}}{}\n",
-            w.executed,
-            w.stolen,
-            w.steal_failures,
-            w.parks,
-            w.unparks,
-            if i + 1 == pool_stats.workers.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!(
-        "    \"external\": {{\"executed\": {}, \"stolen\": {}, \"steal_failures\": {}}}\n",
-        pool_stats.external.executed,
-        pool_stats.external.stolen,
-        pool_stats.external.steal_failures
-    ));
-    out.push_str("  }\n}\n");
-    let path = bench::artifact_path("BENCH_serve.json");
-    match std::fs::write(&path, &out) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    check_metric("trace_untraced_rps", untraced_rps);
+    check_metric("trace_traced_rps", traced_rps);
+    check_metric("trace_events_recorded", tstats.recorded as f64);
+    Json::object()
+        .field("model", "mlp_256")
+        .field("requests", requests)
+        .field("inflight_window", window)
+        .field("reps", reps)
+        .field("untraced_rps", Json::fixed(untraced_rps, 1))
+        .field("traced_rps", Json::fixed(traced_rps, 1))
+        .field("overhead_frac", Json::fixed(overhead_frac, 5))
+        .field("max_overhead_frac", Json::fixed(max_overhead_frac, 3))
+        .field("ring_cap", trace::ring_capacity())
+        .field("events_recorded", tstats.recorded)
+        .field("trace_rings", tstats.rings)
 }

@@ -195,6 +195,168 @@ pub fn check_metric(name: &str, value: f64) {
     );
 }
 
+/// A JSON value for the bench artifacts. Numbers are stored rendered, so
+/// each field picks its own precision ([`Json::fixed`]); [`Json::render`]
+/// quotes strings and places the commas and indentation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A number or literal, already rendered (`12`, `0.125`, `null`).
+    Raw(String),
+    /// A string, escaped when rendered.
+    Str(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, fields in insertion order.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An empty object, to be filled with [`Json::field`].
+    pub fn object() -> Self {
+        Json::Object(Vec::new())
+    }
+
+    /// `value` with `digits` decimals, or `null` if it is not finite.
+    pub fn fixed(value: f64, digits: usize) -> Self {
+        Json::Raw(if value.is_finite() {
+            format!("{value:.digits$}")
+        } else {
+            "null".to_string()
+        })
+    }
+
+    /// Appends `key: value` to an object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` is not an object.
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Self {
+        match &mut self {
+            Json::Object(fields) => fields.push((key.to_string(), value.into())),
+            other => panic!("Json::field on a non-object: {other:?}"),
+        }
+        self
+    }
+
+    /// The value as pretty-printed JSON text: one object field per line,
+    /// arrays of scalars on one line, and each element of an array of
+    /// arrays or objects on its own line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// Writes the value at indent level `depth`, or on one line if `None`.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
+        match self {
+            Json::Raw(s) => out.push_str(s),
+            Json::Str(s) => quote(out, s),
+            Json::Array(items) => {
+                let lines = depth.filter(|_| {
+                    items
+                        .iter()
+                        .any(|v| matches!(v, Json::Array(_) | Json::Object(_)))
+                });
+                write_seq(out, ['[', ']'], items.len(), lines, |out, i| {
+                    items[i].write(out, None);
+                });
+            }
+            Json::Object(fields) => write_seq(out, ['{', '}'], fields.len(), depth, |out, i| {
+                let (key, value) = &fields[i];
+                quote(out, key);
+                out.push_str(": ");
+                value.write(out, depth.map(|d| d + 1));
+            }),
+        }
+    }
+}
+
+/// Writes `n` items between `brackets`, one per line at indent level
+/// `depth + 1` or all on one line if `depth` is `None`.
+fn write_seq(
+    out: &mut String,
+    brackets: [char; 2],
+    n: usize,
+    depth: Option<usize>,
+    mut item: impl FnMut(&mut String, usize),
+) {
+    out.push(brackets[0]);
+    for i in 0..n {
+        match depth {
+            Some(d) => {
+                out.push_str(if i > 0 { ",\n" } else { "\n" });
+                out.push_str(&"  ".repeat(d + 1));
+            }
+            None if i > 0 => out.push_str(", "),
+            None => {}
+        }
+        item(out, i);
+    }
+    if let Some(d) = depth.filter(|_| n > 0) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(d));
+    }
+    out.push(brackets[1]);
+}
+
+/// Writes `s` as a quoted JSON string.
+fn quote(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+macro_rules! json_from_display {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Self {
+                Json::Raw(v.to_string())
+            }
+        }
+    )*};
+}
+json_from_display!(u32, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Self {
+        Json::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Renders `json` to the artifact `name` (see [`artifact_path`]) and
+/// prints where it went.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_artifact(name: &str, json: &Json) {
+    let path = artifact_path(name);
+    std::fs::write(&path, json.render())
+        .unwrap_or_else(|e| panic!("could not write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// Where a bench writes its JSON artifact `name`: under `--out <dir>`
 /// when the command line names one (`--out .` from the repository root
 /// refreshes the committed copies), else under the workspace's
@@ -259,6 +421,31 @@ mod tests {
         let r = per_layer_rmse(&m, FormatKind::Lp, 6);
         assert_eq!(r.len(), m.num_quant_layers());
         assert!(r.iter().all(|&x| x >= 0.0));
+    }
+
+    #[test]
+    fn json_renders_nesting_commas_and_quotes() {
+        let json = Json::object()
+            .field("name", "a \"b\"\\\n")
+            .field("n", 3usize)
+            .field("x", Json::fixed(0.5, 3))
+            .field("nan", Json::fixed(f64::NAN, 3))
+            .field("shares", vec![1u32, 2])
+            .field("empty", Json::object())
+            .field(
+                "rows",
+                vec![
+                    Json::object().field("a", 1u64).field("b", "c"),
+                    Json::object(),
+                ],
+            )
+            .field("inner", Json::object().field("k", "v"));
+        assert_eq!(
+            json.render(),
+            "{\n  \"name\": \"a \\\"b\\\"\\\\\\u000a\",\n  \"n\": 3,\n  \"x\": 0.500,\n  \
+             \"nan\": null,\n  \"shares\": [1, 2],\n  \"empty\": {},\n  \"rows\": [\n    \
+             {\"a\": 1, \"b\": \"c\"},\n    {}\n  ],\n  \"inner\": {\n    \"k\": \"v\"\n  }\n}\n"
+        );
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //! The registered batch function hands the **whole micro-batch** to
 //! [`Model::forward_batch_quant`]: one stacked GEMM per weighted layer,
 //! codes decoded panel-wise inside the kernel, scheme activations applied
-//! batch-wise — bit-identical to per-input fake-quantized forwards (the
-//! retired per-input fan-out survives as
-//! [`ServedModel::register_per_input`], the benchmark baseline).
+//! batch-wise — bit-identical to per-input fake-quantized forwards.
 //!
 //! Registrations serve both server faces: blocked synchronous
 //! [`Client`](serve::server::Client) calls and ticketed asynchronous
@@ -149,39 +147,6 @@ impl ServedModel {
         scheme: QuantScheme,
     ) -> Result<Arc<Model>, ServeError> {
         self.register_spec(server, ScenarioSpec::new("", scenario), scheme)
-    }
-
-    /// The pre-packing registration path, kept as the measured baseline
-    /// for `BENCH_serve.json`: materializes a fake-quantized **f32 copy**
-    /// of the weights ([`Model::quantize_weights`]) and fans each request
-    /// batch out **per input** on the global work-stealing pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ServeError`] from registration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on scheme-length mismatch.
-    pub fn register_per_input(
-        &self,
-        server: &TensorServer,
-        scenario: &str,
-        scheme: QuantScheme,
-    ) -> Result<Arc<Model>, ServeError> {
-        let scheme = scheme.with_shared_cache(Arc::clone(&self.cache));
-        let quantized = Arc::new(self.model.quantize_weights(&scheme));
-        let scheme = Arc::new(scheme);
-        let handle = Arc::clone(&quantized);
-        server.register(
-            ScenarioSpec::new(self.model.name(), scenario),
-            move |batch: &[Tensor]| {
-                serve::pool::par_map_pooled(batch, |x| {
-                    quantized.forward_traced(x, Some(&scheme), false).output
-                })
-            },
-        )?;
-        Ok(handle)
     }
 }
 
@@ -364,22 +329,30 @@ mod tests {
 
     #[test]
     fn batched_serving_matches_per_input_baseline() {
+        // Served packed batches must equal per-input forwards over the
+        // fake-quantized f32 weights, bit for bit.
         let served = ServedModel::new(tiny_model());
         let server = test_server();
         let layers = served.model().num_quant_layers();
-        served
-            .register(&server, "packed", lp_scheme(layers, 8, 0.0))
-            .unwrap();
-        served
-            .register_per_input(&server, "fanout", lp_scheme(layers, 8, 0.0))
-            .unwrap();
-        let client = server.client();
-        for i in 0..6 {
-            let input =
-                Tensor::from_vec(&[8], (0..8).map(|j| (i + j) as f32 * 0.07 - 0.2).collect());
-            let packed = client.infer("tiny_mlp", "packed", input.clone()).unwrap();
-            let fanout = client.infer("tiny_mlp", "fanout", input).unwrap();
-            assert_eq!(packed.data(), fanout.data());
+        let scheme = lp_scheme(layers, 8, 0.0);
+        let fake_quant = served.model().quantize_weights(&scheme);
+        served.register(&server, "packed", scheme.clone()).unwrap();
+        let cq = server.async_client();
+        let inputs: Vec<Tensor> = (0..6)
+            .map(|i| Tensor::from_vec(&[8], (0..8).map(|j| (i + j) as f32 * 0.07 - 0.2).collect()))
+            .collect();
+        let mut want = std::collections::HashMap::new();
+        for input in &inputs {
+            let t = cq.submit("tiny_mlp", "packed", input.clone()).unwrap();
+            let out = fake_quant
+                .forward_traced(input, Some(&scheme), false)
+                .output;
+            want.insert(t, out);
+        }
+        for _ in 0..inputs.len() {
+            let c = cq.wait(Duration::from_secs(10)).expect("completion lost");
+            let want = want.remove(&c.ticket).expect("unknown ticket");
+            assert_eq!(c.result.unwrap().data(), want.data());
         }
     }
 

@@ -12,10 +12,9 @@
 //! holding an `MR × `[`GEMM_NR`] block of `f32` accumulators in vector
 //! registers for the whole `kb` depth. The microkernel has two dispatch
 //! tiers (see `lp::simd`): an explicit AVX2 path selected by runtime
-//! feature detection, and a portable unrolled fallback; both retire the
-//! old store/reload saxpy inner loop (kept as
-//! [`Tensor::matmul_t_blocked_saxpy`], the benchmark baseline, next to the
-//! dot-product [`Tensor::matmul_t_naive`]; see `BENCH_gemm.json`).
+//! feature detection, and a portable unrolled fallback. Both are checked
+//! and measured against the dot-product oracle [`Tensor::matmul_t_naive`]
+//! (see `BENCH_gemm.json`).
 //!
 //! Products are accumulated into each output element strictly in
 //! ascending-`k` order, one **separately rounded** multiply and add per
@@ -272,38 +271,6 @@ impl Tensor {
         }
     }
 
-    /// The previous-generation blocked compute (panel staging + 1-row
-    /// saxpy inner loop that stores and reloads the output row on every
-    /// `k` step). Kept as the measured baseline for `BENCH_gemm.json`'s
-    /// `simd_speedup_vs_blocked` figure and as an extra bit-identity
-    /// witness between the naive and microkernel paths; not used by any
-    /// forward path.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both operands are rank-2 with matching `K`.
-    pub fn matmul_t_blocked_saxpy(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_t lhs must be rank-2");
-        assert_eq!(rhs.shape.len(), 2, "matmul_t rhs must be rank-2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (rhs.shape[0], rhs.shape[1]);
-        assert_eq!(k, k2, "matmul_t inner dimensions differ: {k} vs {k2}");
-        let mut out = vec![0.0f32; m * n];
-        let bd = &rhs.data;
-        gemm_t_panels_saxpy(m, k, n, &self.data, &mut out, |jc, nb, pc, kb, panel| {
-            for j in 0..nb {
-                let src = &bd[(jc + j) * k + pc..(jc + j) * k + pc + kb];
-                for (p, &v) in src.iter().enumerate() {
-                    panel[p * nb + j] = v;
-                }
-            }
-        });
-        Tensor {
-            shape: vec![m, n],
-            data: out,
-        }
-    }
-
     /// The pre-blocking `matmul_t` (row × row dot products, one serial
     /// accumulator). Kept as the measured baseline for `BENCH_gemm.json`
     /// and the bit-identity reference for the blocked kernel; not used by
@@ -406,37 +373,6 @@ where
             let kb = GEMM_KC.min(k - pc);
             fill(jc, nb, pc, kb, &mut panel[..kb * nb]);
             microkernel::compute_tile(a, out, k, n, m, jc, nb, pc, kb, &panel[..kb * nb]);
-            pc += kb;
-        }
-        jc += nb;
-    }
-}
-
-/// The retired pre-microkernel compute loop (panel staging + 1-row saxpy
-/// with a store/reload of the output row on every `k` step), kept only as
-/// the measured baseline behind [`Tensor::matmul_t_blocked_saxpy`].
-fn gemm_t_panels_saxpy<F>(m: usize, k: usize, n: usize, a: &[f32], out: &mut [f32], mut fill: F)
-where
-    F: FnMut(usize, usize, usize, usize, &mut [f32]),
-{
-    let mut panel = vec![0.0f32; GEMM_KC.min(k.max(1)) * GEMM_NC.min(n.max(1))];
-    let mut jc = 0;
-    while jc < n {
-        let nb = GEMM_NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kb = GEMM_KC.min(k - pc);
-            fill(jc, nb, pc, kb, &mut panel[..kb * nb]);
-            for i in 0..m {
-                let a_tile = &a[i * k + pc..i * k + pc + kb];
-                let o_row = &mut out[i * n + jc..i * n + jc + nb];
-                for (p, &av) in a_tile.iter().enumerate() {
-                    let b_row = &panel[p * nb..(p + 1) * nb];
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += av * bv;
-                    }
-                }
-            }
             pc += kb;
         }
         jc += nb;

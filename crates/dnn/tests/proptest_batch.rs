@@ -12,8 +12,7 @@
 //! * packed-weight forwards ([`Model::quantize_weights_packed`]) are
 //!   bit-identical to fake-quantized `f32` forwards
 //!   ([`Model::quantize_weights`]) for **all 7 format families**;
-//! * the dispatched microkernel GEMM ([`Tensor::matmul_t`]), the retired
-//!   saxpy blocked kernel ([`Tensor::matmul_t_blocked_saxpy`]) and the
+//! * the dispatched microkernel GEMM ([`Tensor::matmul_t`]) and the
 //!   naive dot-product reference ([`Tensor::matmul_t_naive`]) agree
 //!   bit-for-bit (modulo unspecified NaN payload bits) — including
 //!   operands salted with ±0.0 / NaN / ±∞ / subnormals — as does
@@ -513,26 +512,24 @@ proptest! {
     }
 
     #[test]
-    fn simd_saxpy_and_naive_kernels_agree_including_specials(
+    fn simd_and_naive_kernels_agree_including_specials(
         m in 1usize..6, k in 1usize..200, n in 1usize..90,
         seed in 0u64..1000,
     ) {
-        // Three-way bit identity of every GEMM tier on operands salted
-        // with IEEE specials: per-lane vector mul/add are the same IEEE
-        // operations as their scalar forms (and never an FMA), so signed
-        // zeros, infinities and subnormals must round-trip identically
-        // through the microkernel. NaN outputs are compared as "both
-        // NaN": IEEE-754 (and LLVM, which freely commutes fmul/fadd
+        // Bit identity of the microkernel and the naive kernel on
+        // operands salted with IEEE specials: per-lane vector mul/add are
+        // the same IEEE operations as their scalar forms (and never an
+        // FMA), so signed zeros, infinities and subnormals must
+        // round-trip identically through the microkernel. NaN outputs
+        // are compared as "both NaN": IEEE-754 (and LLVM, which freely commutes fmul/fadd
         // operands) leaves NaN sign/payload propagation unspecified, so
         // exact NaN bits are not a cross-kernel invariant even between
         // two scalar loops.
         let a = Tensor::from_vec(&[m, k], salted(m * k, seed, 1));
         let b = Tensor::from_vec(&[n, k], salted(n * k, seed, 2));
         let simd = a.matmul_t(&b);
-        let saxpy = a.matmul_t_blocked_saxpy(&b);
         let naive = a.matmul_t_naive(&b);
-        for ((x, y), z) in simd.data().iter().zip(saxpy.data()).zip(naive.data()) {
-            prop_assert!(bits_eq_mod_nan(*x, *y), "simd {x:?} vs saxpy {y:?}");
+        for (x, z) in simd.data().iter().zip(naive.data()) {
             prop_assert!(bits_eq_mod_nan(*x, *z), "simd {x:?} vs naive {z:?}");
         }
     }

@@ -29,9 +29,9 @@
 //! [`async_front::Ticket`] without blocking and completions are
 //! harvested from a completion queue, so a single driver thread sustains
 //! thousands of in-flight requests where the synchronous
-//! [`server::Client`] needs a blocked OS thread each (`async_vs_sync` in
-//! `BENCH_serve.json`). The completion queue is the only completion
-//! path: a synchronous call is a private one-slot queue.
+//! [`server::Client`] needs a blocked OS thread each. The completion
+//! queue is the only completion path: a synchronous call is a private
+//! one-slot queue.
 //!
 //! Cross-cutting both layers sits [`trace`] — the observability
 //! substrate: request-lifecycle [`trace::TraceEvent`]s (Submit → Admit →
@@ -72,8 +72,9 @@
 //!
 //! `dnn::serving` supplies the glue that registers quantized DNN models
 //! here with weight caches shared across scenarios; see
-//! `crates/bench/src/bin/serve_throughput.rs` for the end-to-end driver
-//! and `ARCHITECTURE.md` at the repo root for the life of a request.
+//! `crates/bench/src/bin/serve_throughput.rs` for the scheduling,
+//! overload and tracing studies, and `ARCHITECTURE.md` at the repo root
+//! for the life of a request.
 //! [`test_support`] carries the cross-suite test scaffolding (the
 //! fault-harness arm/disarm guard).
 

@@ -87,7 +87,8 @@ pub struct WorkerStats {
 /// Point-in-time snapshot of the pool's scheduling counters: one row per
 /// worker plus an `external` row for non-worker threads that helped while
 /// waiting on a [`Pool::scope`]. Steal traffic is the observable that
-/// makes scheduler regressions visible in `BENCH_serve.json` directly
+/// makes scheduler regressions visible in the `serve_pool_*` series of
+/// [`Server::metrics_text`](crate::server::Server::metrics_text) directly
 /// (a dead work-stealing path shows up as `total_stolen == 0` under a
 /// skewed load, long before it shows up as throughput).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -242,8 +242,7 @@ impl std::error::Error for ServeError {}
 /// is bounded by `ceil(queue_cap / max_batch)` batch executions (plus
 /// pool contention from *other* registrations) no matter how far the
 /// offered load exceeds capacity — overload moves the excess into shed
-/// counts, not into p99 (`async_vs_sync.load_shedding` in
-/// `BENCH_serve.json`).
+/// counts, not into p99 (`load_shedding` in `BENCH_serve.json`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Maximum outstanding (accepted, unfulfilled) requests the
@@ -1575,72 +1574,6 @@ impl<I: Send + 'static, O: Send + 'static> Server<I, O> {
         out
     }
 
-    /// Renders a fixed-width text table of every registration's traffic,
-    /// latency and stage breakdown, followed by the pool's scheduling
-    /// counters — the shared stats printout the bench bins use instead of
-    /// each rolling its own.
-    pub fn report(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>6} \
-             {:>6}",
-            "model/scenario",
-            "count",
-            "mean ms",
-            "p50 ms",
-            "p99 ms",
-            "qw99 ms",
-            "svc99 ms",
-            "dlv99 ms",
-            "batch",
-            "shed",
-            "ddl",
-            "pred",
-            "pass",
-            "depth"
-        );
-        for (model, scenario) in self.registrations() {
-            let Some(snap) = self.stats(&model, &scenario) else {
-                continue;
-            };
-            let batch_mean = self
-                .batch_size_stats(&model, &scenario)
-                .map_or(0.0, |b| b.mean());
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>7} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6.2} {:>6} \
-                 {:>6} {:>6} {:>6} {:>6}",
-                format!("{model}/{scenario}"),
-                snap.count,
-                snap.mean_s * 1e3,
-                snap.p50_s * 1e3,
-                snap.p99_s * 1e3,
-                snap.queue_wait.p99_s * 1e3,
-                snap.service.p99_s * 1e3,
-                snap.delivery.p99_s * 1e3,
-                batch_mean,
-                snap.shed,
-                snap.shed_deadline,
-                snap.shed_predicted,
-                snap.passed_over,
-                snap.max_queue_depth
-            );
-        }
-        let pool = self.inner.pool.stats();
-        let _ = writeln!(
-            out,
-            "  pool: executed {} (stolen {}, steal-failures {}), parks {} / unparks {}",
-            pool.total_executed(),
-            pool.total_stolen(),
-            pool.total_steal_failures(),
-            pool.total_parks(),
-            pool.total_unparks()
-        );
-        out
-    }
-
     /// Stops accepting requests, flushes every queued request, waits for
     /// in-flight batches, and joins the scheduler.
     pub fn shutdown(&self) {
@@ -1705,8 +1638,8 @@ impl<I: Send + 'static, O: Send + 'static> std::fmt::Debug for Server<I, O> {
 }
 
 /// Synchronous request handle onto a [`Server`]: one blocked OS thread
-/// per outstanding request. The measured baseline the async front-end is
-/// compared against in `BENCH_serve.json` (`async_vs_sync`).
+/// per outstanding request; [`Server::async_client`] holds many requests
+/// in flight from one thread.
 ///
 /// # Examples
 ///

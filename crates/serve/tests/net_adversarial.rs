@@ -3,7 +3,8 @@
 //! truncated frames, garbage magic/version — each gets a typed
 //! protocol error (or a clean close) on the offending connection while
 //! the server keeps serving everyone else, with no poisoned registry
-//! and no leaked admission slots.
+//! and no leaked admission slots. Clean pipelined traffic on several
+//! connections across both reactors is accounted frame for frame.
 
 use serve::net::{
     Frame, FrameParser, NetClient, NetConfig, NetServer, RequestFrame, Status, MAGIC, VERSION,
@@ -298,6 +299,51 @@ fn per_connection_inflight_cap_rejects_without_leaking_slots() {
 
     drop(client);
     wait_all_closed(&net);
+    net.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_connections_across_reactors_account_every_frame() {
+    // The clean-traffic baseline the hostile cases are measured against:
+    // several connections, dealt across both reactors, each pipelining a
+    // full in-flight window. Every frame decodes once, every request gets
+    // exactly one response carrying its own payload, and nothing is
+    // rejected or counted as a protocol error.
+    let (server, net) = echo_server(); // 2 reactors, per_conn_inflight = 4
+    let addr = net.local_addr();
+    const CONNS: usize = 4;
+    const REQUESTS: usize = 64;
+    std::thread::scope(|s| {
+        for c in 0..CONNS {
+            s.spawn(move || {
+                let mut client = NetClient::connect(addr).expect("connect");
+                let payloads: Vec<Vec<u8>> = (0..REQUESTS)
+                    .map(|i| format!("conn {c} req {i}").into_bytes())
+                    .collect();
+                let responses = client
+                    .call_pipelined("echo", "wire", &payloads, 4)
+                    .expect("pipelined calls");
+                for (resp, sent) in responses.iter().zip(&payloads) {
+                    assert_eq!((resp.status, &resp.payload), (Status::Ok, sent));
+                }
+            });
+        }
+    });
+    wait_all_closed(&net);
+    let s = net.stats();
+    let total = (CONNS * REQUESTS) as u64;
+    assert_eq!(s.connections_opened, CONNS as u64, "{s:?}");
+    assert_eq!(
+        s.frames_in, total,
+        "every request frame decoded once: {s:?}"
+    );
+    assert_eq!(s.frames_out, total, "one response frame per request: {s:?}");
+    assert_eq!(s.protocol_errors, 0, "{s:?}");
+    assert_eq!(
+        s.inflight_rejections, 0,
+        "a window at the cap never overflows it: {s:?}"
+    );
     net.shutdown();
     server.shutdown();
 }
