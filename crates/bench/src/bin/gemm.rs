@@ -1,10 +1,11 @@
 //! GEMM kernel benchmark: the naive dot-product loop vs the
 //! register-tiled microkernel (the production `matmul_t`) vs the packed
-//! (code-decoding) kernel, a batch-amortization study and the im2col
-//! fill that feeds the convolution GEMMs, writing `BENCH_gemm.json` under
-//! `target/bench/` (or the directory given as `--out <dir>`).
+//! (code-decoding) kernel, a batch-amortization study, the im2col fill
+//! that feeds the convolution GEMMs and the depthwise convolution kernel,
+//! writing `BENCH_gemm.json` under `target/bench/` (or the directory given
+//! as `--out <dir>`).
 //!
-//! Three questions this answers with numbers:
+//! Four questions this answers with numbers:
 //!
 //! 1. **Kernel tier** — what the cache-blocked, register-tiled (and, when
 //!    the CPU has AVX2, intrinsics-vectorized) microkernel gains over the
@@ -20,6 +21,11 @@
 //!    element at B=8 on every resnet18 conv shape, on mobilenetv2's
 //!    pointwise shapes and on deit_s's patch embedding, each checked bit
 //!    for bit against `im2col_oracle` first.
+//! 4. **Depthwise convolution** — what `dnn::graph::dwconv2d` costs at
+//!    B=8 on each of mobilenetv2's depthwise shapes, with packed LP8
+//!    weights as served, per call and per in-bounds multiply-add, each
+//!    checked bit for bit against `dwconv2d_oracle` first; and the sum
+//!    over all 13 depthwise layers of one forward.
 //!
 //! Environment knobs: `GEMM_BENCH_SIZE` (square size, default 256),
 //! `GEMM_BENCH_DIM` (batch-study layer width, default 512),
@@ -29,7 +35,7 @@
 //! configuration (tiny sizes); defaults produce the README numbers.
 
 use bench::{check_metric, Json};
-use dnn::graph::{im2col, im2col_oracle};
+use dnn::graph::{dwconv2d, dwconv2d_oracle, im2col, im2col_oracle};
 use dnn::tensor::{QTensor, Tensor};
 use lp::format::LpParams;
 use std::time::Instant;
@@ -56,6 +62,39 @@ const FILL_SHAPES: [(usize, usize, usize, usize, usize, usize); 15] = [
     (64, 2, 2, 1, 1, 0),
     (3, 16, 16, 4, 4, 0),
 ];
+
+/// mobilenetv2's depthwise layers timed in part 4, as `(c, h, w, stride,
+/// layers)`: an image `[c, h, w]` under a 3×3 kernel with padding 1, and
+/// how many of the model's 13 depthwise layers have that shape.
+const DW_SHAPES: [(usize, usize, usize, usize, usize); 9] = [
+    (8, 16, 16, 1, 1),
+    (32, 16, 16, 2, 1),
+    (48, 8, 8, 1, 1),
+    (48, 8, 8, 2, 1),
+    (64, 4, 4, 1, 2),
+    (64, 4, 4, 2, 1),
+    (96, 2, 2, 1, 3),
+    (128, 2, 2, 1, 2),
+    (192, 2, 2, 1, 1),
+];
+
+/// In-bounds taps summed over the outputs along one axis: `n` inputs
+/// under a `k`-tap kernel at `stride` with `pad` zeros on each border.
+fn axis_taps(n: usize, k: usize, stride: usize, pad: usize) -> usize {
+    let outs = (n + 2 * pad - k) / stride + 1;
+    (0..outs)
+        .map(|o| {
+            (0..k)
+                .filter(|&t| (o * stride + t).checked_sub(pad).is_some_and(|i| i < n))
+                .count()
+        })
+        .sum()
+}
+
+/// The bit patterns of `v`, for exact comparison against an oracle.
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 /// Best-of-`reps` wall time of `f`, with the result kept live.
 fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -194,7 +233,6 @@ fn main() {
             .iter()
             .flat_map(|x| im2col_oracle(x, k, k, stride, pad))
             .collect();
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let shape = format!("{c}x{h}x{w} k{k} s{stride} p{pad}");
         assert_eq!(
             bits(got.data()),
@@ -220,6 +258,63 @@ fn main() {
         );
     }
 
+    // ------------------------------------------------------------------
+    // Part 4: depthwise convolution at B=8, checked against the oracle.
+    // ------------------------------------------------------------------
+    let mut dws = Vec::new();
+    let mut dw_total_us = 0.0;
+    for (i, &(c, h, w, stride, layers)) in DW_SHAPES.iter().enumerate() {
+        let images: Vec<Tensor> = (0..FILL_BATCH)
+            .map(|e| bench::pseudo_tensor(&[c, h, w], (i * FILL_BATCH + e) as f32))
+            .collect();
+        let xs: Vec<&Tensor> = images.iter().collect();
+        let weight = QTensor::quantize(&bench::pseudo_tensor(&[c, 3, 3], i as f32 + 0.5), &q);
+        let values = weight.dequantize();
+        let weight = weight.into();
+        let bias = bench::pseudo_tensor(&[c], i as f32 + 0.25).into_data();
+        let shape = format!("{c}x{h}x{w} s{stride}");
+        for (x, got) in xs.iter().zip(dwconv2d(&xs, &weight, &bias, stride, 1)) {
+            let want = dwconv2d_oracle(x, &values, &bias, stride, 1);
+            assert_eq!(
+                bits(got.data()),
+                bits(want.data()),
+                "dwconv {shape} diverged from the oracle"
+            );
+        }
+        // Enough calls per rep for ~`iters`·1M multiply-adds.
+        let macs = FILL_BATCH * c * axis_taps(h, 3, stride, 1) * axis_taps(w, 3, stride, 1);
+        let calls = (iters * 1_000_000).div_ceil(macs);
+        let secs = best_of(reps, || {
+            for _ in 0..calls {
+                std::hint::black_box(dwconv2d(
+                    std::hint::black_box(&xs),
+                    &weight,
+                    &bias,
+                    stride,
+                    1,
+                ));
+            }
+        });
+        let us = secs * 1e6 / calls as f64;
+        let ns_per_mac = secs * 1e9 / (calls * macs) as f64;
+        dw_total_us += us * layers as f64;
+        println!(
+            "dwconv {shape:<14} B={FILL_BATCH}: {us:.2} us, {ns_per_mac:.3} ns/mac (x{layers})"
+        );
+        check_metric(&format!("dwconv {shape} us"), us);
+        check_metric(&format!("dwconv {shape} ns_per_mac"), ns_per_mac);
+        dws.push(
+            Json::object()
+                .field("shape", shape)
+                .field("layers", layers)
+                .field("macs", macs)
+                .field("us", Json::fixed(us, 3))
+                .field("ns_per_mac", Json::fixed(ns_per_mac, 4)),
+        );
+    }
+    println!("dwconv all 13 mobilenetv2 layers B={FILL_BATCH}: {dw_total_us:.1} us");
+    check_metric("dwconv total_us", dw_total_us);
+
     let json = Json::object()
         .field("size", size)
         .field("kernel_tier", tier)
@@ -233,6 +328,14 @@ fn main() {
             Json::object()
                 .field("batch", FILL_BATCH)
                 .field("shapes", fills),
+        )
+        .field(
+            "dwconv",
+            Json::object()
+                .field("batch", FILL_BATCH)
+                .field("weights", "packed lp8")
+                .field("total_us", Json::fixed(dw_total_us, 2))
+                .field("shapes", dws),
         );
     bench::write_artifact("BENCH_gemm.json", &json);
 }

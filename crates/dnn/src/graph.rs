@@ -99,8 +99,7 @@ impl WeightStorage {
     }
 
     /// A dense view: borrowed for dense storage, decoded on the fly for
-    /// packed storage (used by the non-GEMM kernels, e.g. depthwise
-    /// convolution, whose weights are tiny).
+    /// packed storage.
     pub fn to_dense(&self) -> Cow<'_, Tensor> {
         match self {
             WeightStorage::Dense(t) => Cow::Borrowed(t),
@@ -1092,14 +1091,7 @@ fn eval_op_batch(op: &Op, args: &[Vec<&Tensor>]) -> Vec<Tensor> {
             bias,
             stride,
             pad,
-        } => {
-            // Not GEMM-backed; decode a packed weight once for the batch.
-            let w = weight.to_dense();
-            first()
-                .iter()
-                .map(|x| dwconv2d(x, &w, bias, *stride, *pad))
-                .collect()
-        }
+        } => dwconv2d(&first(), weight, bias, *stride, *pad),
         Op::Linear { weight, bias } => linear_batch(&first(), weight, bias),
         Op::PatchEmbed {
             weight,
@@ -1293,24 +1285,15 @@ impl Window {
         self.c * self.kh * self.kw
     }
 
-    /// The in-bounds taps of output coordinate `o` along an axis of `n`
-    /// inputs under a `k`-tap kernel, with the input coordinate its first
-    /// tap reads. Empty when the window lies wholly in the padding.
-    fn taps(&self, o: usize, k: usize, n: usize) -> (Range<usize>, usize) {
-        let start = o * self.stride;
-        let lo = self.pad.saturating_sub(start);
-        let hi = k.min((n + self.pad).saturating_sub(start));
-        (lo..hi.max(lo), (start + lo).saturating_sub(self.pad))
-    }
-
-    /// The output coordinates that tap `k` reaches in bounds along an axis
-    /// of `n` inputs and `m` outputs, with the input coordinate it reads at
-    /// the first of them (successive ones step by `stride`).
-    fn reach(&self, k: usize, n: usize, m: usize) -> (Range<usize>, usize) {
-        let s = self.stride;
-        let lo = self.pad.saturating_sub(k).div_ceil(s);
-        let hi = m.min((n + self.pad).saturating_sub(k).div_ceil(s));
-        (lo..hi.max(lo), (lo * s + k).saturating_sub(self.pad))
+    /// The output coordinates along an axis of `n` inputs and `m` outputs
+    /// whose `k` taps all lie in bounds.
+    fn interior(&self, k: usize, n: usize, m: usize) -> Range<usize> {
+        let lo = self.pad.div_ceil(self.stride).min(m);
+        let hi = (n + self.pad)
+            .checked_sub(k)
+            .map_or(0, |span| span / self.stride + 1)
+            .min(m);
+        lo..hi.max(lo)
     }
 
     /// Copies image `x` into the interior of `padded`, the image with its
@@ -1454,27 +1437,90 @@ fn conv2d_batch(
         .map(|e| {
             let pd = &prod.data()[e * rows * c_out..(e + 1) * rows * c_out];
             let mut out = vec![0.0f32; c_out * rows];
-            for ((co, plane), &b) in out.chunks_exact_mut(rows).enumerate().zip(bias) {
-                for (o, &v) in plane.iter_mut().zip(pd[co..].iter().step_by(c_out)) {
-                    *o = v + b;
-                }
-            }
+            transpose_into(pd, c_out, &mut out, rows, |v, co| v + bias[co]);
             Tensor::from_vec(&[c_out, win.oh, win.ow], out)
         })
         .collect()
 }
 
-/// Depthwise convolution: weight `[c, k, k]`, computed row by row. Each
-/// output row starts as its channel's bias; then every in-bounds `(ky,
-/// kx)` tap, in ascending order, adds `x·w` across the output columns it
-/// reaches — a unit-stride loop at stride 1, which auto-vectorizes. So
-/// every element sums exactly what a per-element loop sums, in the same
-/// order: the bias, then its in-bounds taps in `(ky, kx)` order.
-/// Out-of-bounds taps are skipped, never added as `0·w`: that would turn
-/// a `-0.0` sum into `+0.0`, and an infinite or NaN weight into NaN.
-fn dwconv2d(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
+/// The number of channels [`dwconv2d`] computes side by side, and the
+/// height of [`transpose_into`]'s strips.
+const LANES: usize = 8;
+
+/// Writes `f(src[i·src_ld + j], j)` to `dst[j·dst_ld + i]` for every row
+/// `i` of `src` and every row `j` of `dst`: a transpose, with `f` given
+/// each element and its destination row. Either side may carry padding
+/// columns: `src` columns past `dst`'s row count are not read, and `dst`
+/// columns past `src`'s row count are not written.
+///
+/// It runs in strips of [`LANES`] source rows, and each destination row
+/// takes `LANES` consecutive elements from each strip, so no write
+/// strides through memory an element at a time. With `f` the identity it
+/// is a pure copy.
+fn transpose_into<T: Copy>(
+    src: &[T],
+    src_ld: usize,
+    dst: &mut [f32],
+    dst_ld: usize,
+    f: impl Fn(T, usize) -> f32,
+) {
+    let rows = src.len().checked_div(src_ld).unwrap_or(0);
+    let cols = dst.len().checked_div(dst_ld).unwrap_or(0);
+    let full = rows - rows % LANES;
+    for i0 in (0..full).step_by(LANES) {
+        let strip: [&[T]; LANES] = std::array::from_fn(|i| &src[(i0 + i) * src_ld..][..cols]);
+        for (j, d) in (0..cols).zip(dst.chunks_exact_mut(dst_ld)) {
+            let d: &mut [f32; LANES] = (&mut d[i0..i0 + LANES])
+                .try_into()
+                .expect("a strip is LANES rows");
+            *d = std::array::from_fn(|i| f(strip[i][j], j));
+        }
+    }
+    for i in full..rows {
+        let row = src[i * src_ld..][..cols].iter();
+        for ((j, &v), d) in row.enumerate().zip(dst.chunks_exact_mut(dst_ld)) {
+            d[i] = f(v, j);
+        }
+    }
+}
+
+/// Depthwise convolution over a batch: weight `[c, kh, kw]` (dense or
+/// packed) over `[c, h, w]` images. Every output element is its channel's
+/// bias plus `x·w` for each in-bounds tap, added in ascending `(ky, kx)`
+/// order. Out-of-bounds taps are skipped, never added as `0·w`: that
+/// would turn a `-0.0` sum into `+0.0`, and an infinite or NaN weight into
+/// NaN. So every element is bit-identical to [`dwconv2d_oracle`]'s.
+///
+/// The kernel vectorizes across channels. Once per call it lays the
+/// weights out tap-major (`[kh·kw, cp]`, `cp` the channel count rounded
+/// up to a multiple of 8; packed codes decode straight into it) and
+/// resolves the window into a tap plan: each output position's in-bounds
+/// taps, in order. Each image is transposed to `[h·w, cp]`; then every
+/// output position computes its channels eight at a time in registers and
+/// stores them once, and the `[oh·ow, cp]` result is transposed back to
+/// `[c, oh, ow]`. Lanes are channels, never taps, so no sum is
+/// reassociated, and both transposes are pure copies. 3×3 positions whose
+/// taps all lie in bounds skip the plan and read their taps at fixed
+/// offsets. The scratch buffers are allocated once per call and reused
+/// for every image.
+///
+/// # Panics
+///
+/// Panics if the weight is not `[c, kh, kw]` for the images' `c`, if the
+/// bias length is not `c`, if the images' shapes differ, or if the window
+/// does not fit the padded image.
+pub fn dwconv2d(
+    xs: &[&Tensor],
+    w: &WeightStorage,
+    bias: &[f32],
+    stride: usize,
+    pad: usize,
+) -> Vec<Tensor> {
+    let Some(first) = xs.first() else {
+        return Vec::new();
+    };
     let (cw, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2]);
-    let win = Window::new(x.shape(), kh, kw, stride, pad);
+    let win = Window::new(first.shape(), kh, kw, stride, pad);
     let Window {
         c,
         h,
@@ -1485,43 +1531,128 @@ fn dwconv2d(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> 
     } = win;
     assert_eq!(c, cw, "dwconv2d channel mismatch");
     assert_eq!(bias.len(), c, "dwconv2d bias length mismatch");
-    // Each kernel column's reach, resolved once; columns that reach no
-    // output (possible when `pad >= k`) are dropped.
-    let reach: Vec<(usize, Range<usize>, usize)> = (0..kw)
-        .map(|kx| {
-            let (cols, ix) = win.reach(kx, wd, ow);
-            (kx, cols, ix)
-        })
-        .filter(|(_, cols, _)| !cols.is_empty())
-        .collect();
-    let mut out = vec![0.0f32; c * oh * ow];
-    let xd = x.data();
-    let wdta = w.data();
-    for (ch, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
-        let xc = &xd[ch * h * wd..(ch + 1) * h * wd];
-        let wc = &wdta[ch * kh * kw..(ch + 1) * kh * kw];
-        for (oy, row) in plane.chunks_exact_mut(ow).enumerate() {
-            row.fill(bias[ch]);
-            let (ky_taps, iy) = win.taps(oy, kh, h);
-            for (dy, ky) in ky_taps.enumerate() {
-                let xrow = &xc[(iy + dy) * wd..(iy + dy + 1) * wd];
-                for (kx, cols, ix) in &reach {
-                    let wv = wc[ky * kw + kx];
-                    let acc = &mut row[cols.clone()];
-                    if stride == 1 {
-                        for (o, &v) in acc.iter_mut().zip(&xrow[*ix..]) {
-                            *o += v * wv;
-                        }
-                    } else {
-                        for (o, &v) in acc.iter_mut().zip(xrow[*ix..].iter().step_by(stride)) {
-                            *o += v * wv;
+    let (groups, taps) = (c.div_ceil(LANES), kh * kw);
+    let cp = groups * LANES;
+    // Tap-major weights and a padded bias; padding lanes compute
+    // discarded sums of zeros.
+    let mut wt = vec![[0.0f32; LANES]; taps * groups];
+    let mut bp = vec![[0.0f32; LANES]; groups];
+    bp.as_flattened_mut()[..c].copy_from_slice(bias);
+    match w {
+        WeightStorage::Dense(t) => {
+            transpose_into(t.data(), taps, wt.as_flattened_mut(), cp, |v, _| v);
+        }
+        WeightStorage::Packed(q) => {
+            let values = q.table().values();
+            transpose_into(q.codes(), taps, wt.as_flattened_mut(), cp, |code, _| {
+                values[usize::from(code)]
+            });
+        }
+    }
+    // 3×3 positions whose taps all lie in bounds read them at fixed
+    // offsets from their top-left tap; every other position has a plan:
+    // `plan[starts[p]..starts[p + 1]]` are its in-bounds taps in `(ky,
+    // kx)` order, as the indices into `xt` and `wt` of the tap's first
+    // channel group.
+    let (rows, cols) = if (kh, kw) == (3, 3) {
+        (win.interior(kh, h, oh), win.interior(kw, wd, ow))
+    } else {
+        (0..0, 0..0)
+    };
+    let offsets: [usize; 9] = std::array::from_fn(|t| ((t / 3) * wd + t % 3) * groups);
+    // Each tap's weights for the 3×3 positions (empty for other kernels).
+    let weights: [&[[f32; LANES]]; 9] =
+        std::array::from_fn(|t| wt.get(t * groups..(t + 1) * groups).unwrap_or_default());
+    let mut plan = Vec::new();
+    let mut starts = Vec::with_capacity(oh * ow + 1);
+    starts.push(0);
+    for oy in 0..oh {
+        for ox in 0..ow {
+            if !(rows.contains(&oy) && cols.contains(&ox)) {
+                for ky in 0..kh {
+                    let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&y| y < h) else {
+                        continue;
+                    };
+                    for kx in 0..kw {
+                        if let Some(ix) = (ox * stride + kx).checked_sub(pad).filter(|&x| x < wd) {
+                            plan.push(((iy * wd + ix) * groups, (ky * kw + kx) * groups));
                         }
                     }
                 }
             }
+            starts.push(plan.len());
         }
     }
-    Tensor::from_vec(&[c, oh, ow], out)
+    let mut xt = vec![[0.0f32; LANES]; h * wd * groups];
+    let mut yt = vec![[0.0f32; LANES]; oh * ow * groups];
+    xs.iter()
+        .map(|x| {
+            assert_eq!(
+                x.shape(),
+                &[c, h, wd],
+                "batch elements must share one image shape"
+            );
+            transpose_into(x.data(), h * wd, xt.as_flattened_mut(), cp, |v, _| v);
+            let mut ys = yt.chunks_exact_mut(groups);
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let y = ys.next().expect("one output per position");
+                    if rows.contains(&oy) && cols.contains(&ox) {
+                        let at = ((oy * stride - pad) * wd + ox * stride - pad) * groups;
+                        dw_interior_3x3(&xt[at..], &offsets, &weights, &bp, y);
+                    } else {
+                        let p = oy * ow + ox;
+                        let plan = &plan[starts[p]..starts[p + 1]];
+                        for (g, (y, &b)) in y.iter_mut().zip(&bp).enumerate() {
+                            let mut acc = b;
+                            for &(ix, iw) in plan {
+                                add_tap(&mut acc, &xt[ix + g], &wt[iw + g]);
+                            }
+                            *y = acc;
+                        }
+                    }
+                }
+            }
+            let mut out = vec![0.0f32; c * oh * ow];
+            transpose_into(yt.as_flattened(), cp, &mut out, oh * ow, |v, _| v);
+            Tensor::from_vec(&[c, oh, ow], out)
+        })
+        .collect()
+}
+
+/// One 3×3 output position of [`dwconv2d`] whose taps all lie in bounds:
+/// `x` starts at its top-left tap, and tap `t` reads `x` at `offsets[t]`
+/// with weights `ws[t]`. Each group of [`LANES`] channels sums its bias
+/// and nine taps in registers and is stored once into `y`.
+fn dw_interior_3x3(
+    x: &[[f32; LANES]],
+    offsets: &[usize; 9],
+    ws: &[&[[f32; LANES]]; 9],
+    bias: &[[f32; LANES]],
+    y: &mut [[f32; LANES]],
+) {
+    // Every slice is cut to `groups` up front, so the compiler can drop
+    // the bounds checks inside the loop.
+    let groups = y.len();
+    let xs: [&[[f32; LANES]]; 9] = std::array::from_fn(|t| &x[offsets[t]..][..groups]);
+    let ws: [&[[f32; LANES]]; 9] = std::array::from_fn(|t| &ws[t][..groups]);
+    let bias = &bias[..groups];
+    for g in 0..groups {
+        let mut acc = bias[g];
+        for (x, w) in xs.iter().zip(&ws) {
+            add_tap(&mut acc, &x[g], &w[g]);
+        }
+        y[g] = acc;
+    }
+}
+
+/// `acc += x·w`, lane by lane: one tap of [`dwconv2d`] on [`LANES`]
+/// channels.
+#[inline(always)]
+fn add_tap(acc: &mut [f32; LANES], x: &[f32; LANES], w: &[f32; LANES]) {
+    for ((a, &x), &w) in acc.iter_mut().zip(x).zip(w) {
+        *a += x * w;
+    }
 }
 
 /// The per-element im2col: one image's patch matrix `[oh·ow, c·kh·kw]`,
@@ -1561,10 +1692,15 @@ pub fn im2col_oracle(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize
     patches
 }
 
-/// The per-element depthwise convolution that the row-wise [`dwconv2d`]
-/// replaced: its bit-identity oracle.
-#[cfg(test)]
-fn dwconv2d_oracle(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
+/// The per-element depthwise convolution of one image: each output its
+/// channel's bias plus `x·w` for each in-bounds tap in ascending `(ky,
+/// kx)` order. It is the bit-identity oracle that the tests and the `gemm`
+/// bench check [`dwconv2d`] against.
+///
+/// # Panics
+///
+/// Panics if the window does not fit the padded image.
+pub fn dwconv2d_oracle(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
     let (c, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     let (kh, kw) = (w.shape()[1], w.shape()[2]);
     let Window { oh, ow, .. } = Window::new(x.shape(), kh, kw, stride, pad);
@@ -1952,14 +2088,15 @@ mod tests {
     fn dwconv_preserves_channels() {
         let x = seq_tensor(&[3, 6, 6], 1.0);
         let w = seq_tensor(&[3, 3, 3], 1.0);
-        let out = dwconv2d(&x, &w, &[0.0; 3], 1, 1);
+        let w = WeightStorage::from(w);
+        let out = dwconv2d(&[&x], &w, &[0.0; 3], 1, 1).pop().unwrap();
         assert_eq!(out.shape(), &[3, 6, 6]);
         // Channel 0 output must not depend on channel 1 input.
         let mut x2 = x.clone();
         for v in &mut x2.data_mut()[36..72] {
             *v += 10.0;
         }
-        let out2 = dwconv2d(&x2, &w, &[0.0; 3], 1, 1);
+        let out2 = dwconv2d(&[&x2], &w, &[0.0; 3], 1, 1).pop().unwrap();
         assert_eq!(&out.data()[..36], &out2.data()[..36]);
         assert_ne!(&out.data()[36..72], &out2.data()[36..72]);
     }
@@ -2427,16 +2564,25 @@ mod tests {
     proptest! {
         #[test]
         fn conv_kernels_are_bit_identical_to_their_oracles(
-            c in 1usize..4, c_out in 1usize..4, kh_pick in 0usize..5, kw_pick in 0usize..5,
+            c in 1usize..4, c_out in 1usize..=20, c_dw in 1usize..=20,
+            kh_pick in 0usize..5, kw_pick in 0usize..5, three in 0usize..3,
             stride in 1usize..=4, pad in 0usize..=2, batch in 1usize..=3,
-            extra_h in 0usize..7, extra_w in 0usize..7, seed in 0u64..1_000_000,
+            extra_h in 0usize..12, extra_w in 0usize..12, seed in 0u64..1_000_000,
         ) {
             // Image sides start at the smallest that fits the padded
             // window (`h + 2·pad == k`), which is a 1×1 image whenever the
             // padding alone covers the kernel. Kernel sides pick from
             // 1–5 independently, so non-square windows and patch-embed's
-            // 4×4 at stride 4 are both covered.
-            let (kh, kw) = ([1usize, 2, 3, 4, 5][kh_pick], [1usize, 2, 3, 4, 5][kw_pick]);
+            // 4×4 at stride 4 are both covered; a third of the cases take
+            // the zoo's 3×3, whose in-bounds positions dwconv2d computes
+            // apart from the rest. Up to 20 output or depthwise channels
+            // over up to 144 positions give the 8-row transpose strips and
+            // the 8-channel groups both full blocks and ragged tails.
+            let (kh, kw) = if three == 0 {
+                (3, 3)
+            } else {
+                ([1usize, 2, 3, 4, 5][kh_pick], [1usize, 2, 3, 4, 5][kw_pick])
+            };
             let side = |k: usize| k.saturating_sub(2 * pad).max(1);
             let (h, w) = (side(kh) + extra_h, side(kw) + extra_w);
             // Non-finite pixels, NaN payloads of both signs among them:
@@ -2450,12 +2596,15 @@ mod tests {
                 f32::from_bits(0x7fc0_1234),
                 f32::from_bits(0xffa0_0001),
             ];
-            let images: Vec<Tensor> = (0..batch as u64)
-                .map(|e| {
-                    let v = salted_values(c * h * w, seed, 10 + e, &pixel_specials);
-                    Tensor::from_vec(&[c, h, w], v)
-                })
-                .collect();
+            let batch_of = |c: usize, salt: u64| -> Vec<Tensor> {
+                (0..batch as u64)
+                    .map(|e| {
+                        let v = salted_values(c * h * w, seed, salt + e, &pixel_specials);
+                        Tensor::from_vec(&[c, h, w], v)
+                    })
+                    .collect()
+            };
+            let images = batch_of(c, 10);
             let xs: Vec<&Tensor> = images.iter().collect();
 
             // Stacked im2col fill ≡ per-image oracle, bit for bit.
@@ -2468,18 +2617,21 @@ mod tests {
                 prop_assert_eq!(g.to_bits(), o.to_bits(), "im2col elem {}", i);
             }
 
-            // conv2d over the fill and the GEMM ≡ the scalar oracle, with
-            // dense weights and with packed LP8 codes of the same values.
+            // conv2d over the fill, the GEMM and the tiled output write ≡
+            // the scalar oracle, with dense weights and with packed LP8
+            // codes of the same values.
             let zeros = [0.0, -0.0];
+            let lp8 = LpParams::clamped(8, 2, 3, 0.0);
             let wt = salted_values(c_out * c * kh * kw, seed, 5, &zeros);
             let wt = Tensor::from_vec(&[c_out, c, kh, kw], wt);
-            let packed = QTensor::quantize(&wt, &LpParams::clamped(8, 2, 3, 0.0));
+            let packed = QTensor::quantize(&wt, &lp8);
             let bias = salted_values(c_out, seed, 6, &zeros);
             for (storage, values) in [
                 (WeightStorage::from(wt.clone()), wt.clone()),
                 (WeightStorage::from(packed.clone()), packed.dequantize()),
             ] {
                 let got = conv2d_batch(&xs, &storage, &bias, stride, pad);
+                prop_assert_eq!(got.len(), batch);
                 for (x, g) in xs.iter().zip(&got) {
                     let want = conv2d_oracle(x, &values, &bias, stride, pad);
                     prop_assert_eq!(g.shape(), want.shape());
@@ -2489,16 +2641,31 @@ mod tests {
                 }
             }
 
-            // Row-wise dwconv2d ≡ per-element oracle, with non-finite weights.
+            // dwconv2d over the whole batch ≡ per-image oracle, with dense
+            // weights salted with ±inf and NaN and with packed LP8 codes.
+            let dw_images = batch_of(c_dw, 20);
+            let dxs: Vec<&Tensor> = dw_images.iter().collect();
             let weight_specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-            let wt = salted_values(c * kh * kw, seed, 3, &weight_specials);
-            let wt = Tensor::from_vec(&[c, kh, kw], wt);
-            let bias = salted_values(c, seed, 4, &zeros);
-            let got = dwconv2d(xs[0], &wt, &bias, stride, pad);
-            let want = dwconv2d_oracle(xs[0], &wt, &bias, stride, pad);
-            prop_assert_eq!(got.shape(), want.shape());
-            for (i, (g, o)) in got.data().iter().zip(want.data()).enumerate() {
-                prop_assert!(bits_eq_mod_nan(*g, *o), "dwconv elem {}: {:?} vs {:?}", i, g, o);
+            let wt = salted_values(c_dw * kh * kw, seed, 3, &weight_specials);
+            let wt = Tensor::from_vec(&[c_dw, kh, kw], wt);
+            let packed = QTensor::quantize(
+                &Tensor::from_vec(&[c_dw, kh, kw], salted_values(c_dw * kh * kw, seed, 7, &zeros)),
+                &lp8,
+            );
+            let bias = salted_values(c_dw, seed, 4, &zeros);
+            for (storage, values) in [
+                (WeightStorage::from(wt.clone()), wt.clone()),
+                (WeightStorage::from(packed.clone()), packed.dequantize()),
+            ] {
+                let got = dwconv2d(&dxs, &storage, &bias, stride, pad);
+                prop_assert_eq!(got.len(), batch);
+                for (x, g) in dxs.iter().zip(&got) {
+                    let want = dwconv2d_oracle(x, &values, &bias, stride, pad);
+                    prop_assert_eq!(g.shape(), want.shape());
+                    for (i, (g, o)) in g.data().iter().zip(want.data()).enumerate() {
+                        prop_assert!(bits_eq_mod_nan(*g, *o), "dwconv elem {}: {:?} vs {:?}", i, g, o);
+                    }
+                }
             }
         }
     }

@@ -7,7 +7,8 @@
 //!   MLP, CNN and transformer-block graphs, the last two also with LP8
 //!   activation quantization, which pins the kernel-routed attention, the
 //!   memoized GELU, the stacked im2col fill (3×3 at strides 1 and 2, 1×1
-//!   unpadded) and the row-wise depthwise convolution (strides 1 and 2)
+//!   unpadded) and the channel-vectorized depthwise convolution (strides
+//!   1 and 2, over one full 8-channel group plus a tail)
 //!   across batch sizes;
 //! * packed-weight forwards ([`Model::quantize_weights_packed`]) are
 //!   bit-identical to fake-quantized `f32` forwards
@@ -82,13 +83,15 @@ fn mlp(w1: Vec<f32>, w2: Vec<f32>, w3: Vec<f32>, b: Vec<f32>) -> Model {
 const CNN_IN: [usize; 3] = [2, 7, 7];
 const CNN_LEN: usize = 2 * 7 * 7;
 /// Weight and bias counts of [`cnn`]'s seven weighted layers.
-const CNN_WEIGHTS: usize = 72 + 36 + 144 + 16 + 24 + 54 + 18;
-const CNN_BIASES: usize = 4 + 4 + 4 + 4 + 6 + 6 + 3;
+const CNN_WEIGHTS: usize = 180 + 90 + 360 + 40 + 48 + 108 + 36;
+const CNN_BIASES: usize = 10 + 10 + 4 + 4 + 12 + 12 + 3;
 
 /// A small random CNN covering every im2col and depthwise fast path:
 /// conv 3×3 → relu → depthwise 3×3 → {conv 3×3 stride 2, conv 1×1 stride
 /// 2 skip} → add → conv 1×1 → relu → depthwise 3×3 stride 2 →
-/// global-avg-pool → linear, on a `[2, 7, 7]` input.
+/// global-avg-pool → linear, on a `[2, 7, 7]` input. The depthwise
+/// layers have 10 and 12 channels: one full group of the kernel's 8
+/// channel lanes plus a tail.
 fn cnn(w: Vec<f32>, b: Vec<f32>) -> Model {
     let mut m = Model::new("p_cnn", &CNN_IN, 3);
     let x = m.input_node();
@@ -126,17 +129,17 @@ fn cnn(w: Vec<f32>, b: Vec<f32>) -> Model {
         };
         m.push(op, &[input])
     };
-    let c1 = layer(&mut m, x, &[4, 2, 3, 3], 1, 1);
+    let c1 = layer(&mut m, x, &[10, 2, 3, 3], 1, 1);
     let r1 = m.push(Op::Relu, &[c1]);
-    let d1 = layer(&mut m, r1, &[4, 3, 3], 1, 1);
-    let c2 = layer(&mut m, d1, &[4, 4, 3, 3], 2, 1);
-    let skip = layer(&mut m, d1, &[4, 4, 1, 1], 2, 0);
+    let d1 = layer(&mut m, r1, &[10, 3, 3], 1, 1);
+    let c2 = layer(&mut m, d1, &[4, 10, 3, 3], 2, 1);
+    let skip = layer(&mut m, d1, &[4, 10, 1, 1], 2, 0);
     let sum = m.push(Op::Add, &[c2, skip]);
-    let c3 = layer(&mut m, sum, &[6, 4, 1, 1], 1, 0);
+    let c3 = layer(&mut m, sum, &[12, 4, 1, 1], 1, 0);
     let r3 = m.push(Op::Relu, &[c3]);
-    let d2 = layer(&mut m, r3, &[6, 3, 3], 2, 1);
+    let d2 = layer(&mut m, r3, &[12, 3, 3], 2, 1);
     let g = m.push(Op::GlobalAvgPool, &[d2]);
-    let l = layer(&mut m, g, &[3, 6], 1, 0);
+    let l = layer(&mut m, g, &[3, 12], 1, 0);
     m.set_output(l);
     m
 }
