@@ -227,7 +227,7 @@ fn main() {
         let images: Vec<Tensor> = (0..FILL_BATCH)
             .map(|e| bench::pseudo_tensor(&[c, h, w], (i * FILL_BATCH + e) as f32))
             .collect();
-        let xs: Vec<&Tensor> = images.iter().collect();
+        let xs = Tensor::stack(&images);
         let got = im2col(&xs, k, k, stride, pad);
         let want: Vec<f32> = images
             .iter()
@@ -267,13 +267,16 @@ fn main() {
         let images: Vec<Tensor> = (0..FILL_BATCH)
             .map(|e| bench::pseudo_tensor(&[c, h, w], (i * FILL_BATCH + e) as f32))
             .collect();
-        let xs: Vec<&Tensor> = images.iter().collect();
+        let xs = Tensor::stack(&images);
         let weight = QTensor::quantize(&bench::pseudo_tensor(&[c, 3, 3], i as f32 + 0.5), &q);
         let values = weight.dequantize();
         let weight = weight.into();
         let bias = bench::pseudo_tensor(&[c], i as f32 + 0.25).into_data();
         let shape = format!("{c}x{h}x{w} s{stride}");
-        for (x, got) in xs.iter().zip(dwconv2d(&xs, &weight, &bias, stride, 1)) {
+        for (x, got) in images
+            .iter()
+            .zip(dwconv2d(&xs, &weight, &bias, stride, 1).unstack())
+        {
             let want = dwconv2d_oracle(x, &values, &bias, stride, 1);
             assert_eq!(
                 bits(got.data()),

@@ -46,6 +46,7 @@ fn main() {
         ),
     ];
 
+    let mut checks = Vec::new();
     for (name, rows) in paper {
         let m = bench::model(name);
         println!("--- {name} (baseline top-1 {:.2}) ---", m.baseline_top1());
@@ -65,12 +66,14 @@ fn main() {
             fp_size,
             m.baseline_top1()
         );
+        let mut uniform = Vec::new();
         for (label, kind, bits, act) in [
             ("INT8 uniform", FormatKind::Int, 8u32, Some(8u32)),
             ("INT4 uniform", FormatKind::Int, 4, Some(8)),
             ("AdaptivFloat-8", FormatKind::AdaptivFloat, 8, Some(8)),
         ] {
             let acc = bench::uniform_accuracy(&m, kind, bits, act);
+            uniform.push((label, bits, acc));
             let size = m.num_params() as f64 * f64::from(bits) / 8.0 / 1e6;
             println!(
                 "{label:<22} {:>12} {size:>10.3} {acc:>8.2}   [ours]",
@@ -88,7 +91,15 @@ fn main() {
             run.result.evaluations,
         );
         println!();
+        checks.push(bench::shape_check(
+            name,
+            run.weight_bits,
+            run.top1,
+            &uniform,
+        ));
     }
-    println!("Shape check: LPQ reaches lower average bit-widths than the uniform");
-    println!("baselines at equal or better top-1 (paper: <1% avg drop, ~7.5x compression).");
+    println!("Shape check (paper: LPQ within ~1 point of FP32 at MP4.1-5.3):");
+    for line in checks {
+        println!("{line}");
+    }
 }

@@ -133,6 +133,34 @@ pub fn per_layer_rmse(model: &Model, kind: FormatKind, bits: u32) -> Vec<f64> {
         .collect()
 }
 
+/// One model's line of a table's shape check. The reference is the best
+/// printed uniform row (`(label, weight bits, top-1)`) whose weight width is
+/// at least LPQ's average weight bits; LPQ passes if its top-1 is within
+/// 1.0 point of that row's. With no such row, LPQ fails.
+pub fn shape_check(
+    model: &str,
+    lpq_bits: f64,
+    lpq_top1: f64,
+    uniform: &[(&str, u32, f64)],
+) -> String {
+    let lpq = format!("LPQ MP{lpq_bits:.1} at {lpq_top1:.2}");
+    let reference = uniform
+        .iter()
+        .filter(|(_, bits, _)| f64::from(*bits) >= lpq_bits)
+        .max_by(|a, b| a.2.total_cmp(&b.2));
+    match reference {
+        Some((label, bits, top1)) => {
+            let verdict = if lpq_top1 >= top1 - 1.0 {
+                "PASS"
+            } else {
+                "FAIL"
+            };
+            format!("{verdict} {model}: {lpq} vs {label} (W{bits}) at {top1:.2}")
+        }
+        None => format!("FAIL {model}: {lpq}, no uniform baseline at ≥ MP{lpq_bits:.1}"),
+    }
+}
+
 /// Renders a crude ASCII sparkline for a numeric series.
 pub fn sparkline(values: &[f64]) -> String {
     const GLYPHS: [char; 8] = ['1', '2', '3', '4', '5', '6', '7', '8'];
@@ -405,6 +433,20 @@ pub fn fitted_lp(model: &Model, bits: u32) -> Vec<LpParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shape_check_compares_against_the_best_row_at_or_above_lpq_bits() {
+        let rows = [("INT8", 8, 68.53), ("INT4", 4, 30.0), ("AF8", 8, 69.0)];
+        assert_eq!(
+            shape_check("m", 8.0, 55.78, &rows),
+            "FAIL m: LPQ MP8.0 at 55.78 vs AF8 (W8) at 69.00"
+        );
+        assert!(shape_check("m", 5.2, 68.0, &rows).starts_with("PASS m:"));
+        assert_eq!(
+            shape_check("m", 7.9, 77.31, &[("INT6", 6, 70.0)]),
+            "FAIL m: LPQ MP7.9 at 77.31, no uniform baseline at ≥ MP7.9"
+        );
+    }
 
     #[test]
     fn sparkline_shapes() {

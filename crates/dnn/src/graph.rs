@@ -13,7 +13,6 @@
 use crate::tensor::{softmax_rows, QTensor, Tensor};
 use lp::codec::BoundedCache;
 use lp::Quantizer;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
@@ -82,28 +81,11 @@ impl WeightStorage {
         }
     }
 
-    /// Mutable dense tensor, if stored densely.
-    pub fn as_dense_mut(&mut self) -> Option<&mut Tensor> {
-        match self {
-            WeightStorage::Dense(t) => Some(t),
-            WeightStorage::Packed(_) => None,
-        }
-    }
-
     /// The packed tensor, if stored as codes.
     pub fn as_packed(&self) -> Option<&QTensor> {
         match self {
             WeightStorage::Packed(q) => Some(q),
             WeightStorage::Dense(_) => None,
-        }
-    }
-
-    /// A dense view: borrowed for dense storage, decoded on the fly for
-    /// packed storage.
-    pub fn to_dense(&self) -> Cow<'_, Tensor> {
-        match self {
-            WeightStorage::Dense(t) => Cow::Borrowed(t),
-            WeightStorage::Packed(q) => Cow::Owned(q.dequantize()),
         }
     }
 
@@ -143,6 +125,10 @@ fn matmul_t_storage(x: &Tensor, w: &WeightStorage) -> Tensor {
 /// [`Op::Linear`], [`Op::PatchEmbed`]) are the paper's "layers": they are
 /// the unit of per-layer quantization and of intermediate-representation
 /// capture.
+///
+/// Shapes below are those of one batch element. The interpreter holds
+/// each node's value for a whole batch as one tensor with a leading batch
+/// axis, `[B, …]`, and evaluates every op once over it.
 #[derive(Clone, Debug)]
 pub enum Op {
     /// Graph input placeholder.
@@ -222,19 +208,10 @@ pub enum Op {
         /// Input grid side `g` (token count must be `g²`).
         grid: usize,
     },
-    /// Max pooling with square window and stride over `[C, H, W]`.
-    MaxPool {
-        /// Window side.
-        k: usize,
-        /// Stride.
-        stride: usize,
-    },
     /// Global average pooling `[C, H, W] → [C]`.
     GlobalAvgPool,
     /// Mean over tokens `[T, D] → [D]` (transformer head pooling).
     MeanTokens,
-    /// Flatten to rank-1.
-    Flatten,
 }
 
 impl Op {
@@ -281,12 +258,6 @@ impl Op {
         self.storage().and_then(WeightStorage::as_dense)
     }
 
-    /// Mutable access to the dense weight tensor, if any (see
-    /// [`Op::weight`] for the packed-layer caveat).
-    pub fn weight_mut(&mut self) -> Option<&mut Tensor> {
-        self.storage_mut().and_then(WeightStorage::as_dense_mut)
-    }
-
     /// Short kind name for diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -301,10 +272,8 @@ impl Op {
             Op::Add => "add",
             Op::LayerNorm { .. } => "layer_norm",
             Op::Mha { .. } => "mha",
-            Op::MaxPool { .. } => "max_pool",
             Op::GlobalAvgPool => "global_avg_pool",
             Op::MeanTokens => "mean_tokens",
-            Op::Flatten => "flatten",
         }
     }
 }
@@ -862,10 +831,11 @@ impl Model {
         self.forward_observed(inputs, act_scheme, &mut ())
     }
 
-    /// The batch interpreter every forward pass runs on: evaluates the
-    /// micro-batch node by node ([`Model::forward_batch_quant`]) while
-    /// `observer` sees each weighted layer's outputs and takes the
-    /// [`Snapshot`]s it asks for.
+    /// The batch interpreter every forward pass runs on: stacks the
+    /// micro-batch into one `[B, …]` tensor and evaluates it node by node
+    /// ([`Model::forward_batch_quant`]) while `observer` sees each
+    /// weighted layer's output and takes the [`Snapshot`]s it asks for.
+    /// The output node's value is split back into one tensor per input.
     ///
     /// # Panics
     ///
@@ -888,8 +858,8 @@ impl Model {
             );
         }
         let mut values = vec![None; self.nodes.len()];
-        values[0] = Some(Arc::new(inputs.to_vec()));
-        self.run(values, 1, 0, act_scheme, observer)
+        values[0] = Some(Arc::new(Tensor::stack(inputs)));
+        self.run(values, 1, 0, act_scheme, observer).unstack()
     }
 
     /// Continues a forward pass from `snap`: evaluates only the nodes from
@@ -918,25 +888,28 @@ impl Model {
             self.name
         );
         let mut values = vec![None; self.nodes.len()];
-        for (node, vals) in &snap.values {
-            values[*node] = Some(Arc::clone(vals));
+        for (node, value) in &snap.values {
+            values[*node] = Some(Arc::clone(value));
         }
         self.run(values, snap.node, snap.layer, act_scheme, observer)
+            .unstack()
     }
 
     /// The one node loop: evaluates nodes `start..` over the seeded
-    /// `values` (one tensor per batch element per node), starting at
-    /// weighted-layer ordinal `layer`. Each node's value is dropped after
-    /// its last reader runs, so a batch holds only the live frontier, and
-    /// a snapshot shares the live values rather than copying them.
+    /// `values` (one `[B, …]` tensor per node), starting at weighted-layer
+    /// ordinal `layer`, and returns the output node's `[B, …]` value. Each
+    /// node's value is dropped when its last reader runs, so a batch holds
+    /// only the live frontier, an element-wise op can take its input's
+    /// buffer over, and a snapshot shares the live values rather than
+    /// copying them.
     fn run<O: LayerObserver>(
         &self,
-        mut values: Vec<Option<Arc<Vec<Tensor>>>>,
+        mut values: Vec<Option<Arc<Tensor>>>,
         start: usize,
         mut layer: usize,
         act_scheme: Option<&QuantScheme>,
         observer: &mut O,
-    ) -> Vec<Tensor> {
+    ) -> Tensor {
         if let Some(s) = act_scheme {
             assert_eq!(
                 s.activations.len(),
@@ -958,39 +931,30 @@ impl Model {
                         .collect(),
                 });
             }
-            let get = |i: usize| -> &[Tensor] {
-                values[i]
-                    .as_deref()
-                    .expect("node input evaluated before use")
-            };
-            let b = get(node.inputs[0]).len();
-            let args: Vec<Vec<&Tensor>> = (0..b)
-                .map(|e| node.inputs.iter().map(|&i| &get(i)[e]).collect())
+            let args: Vec<Arc<Tensor>> = node
+                .inputs
+                .iter()
+                .map(|&i| Arc::clone(values[i].as_ref().expect("node input evaluated before use")))
                 .collect();
-            let mut outs = eval_op_batch(&node.op, &args);
-            if weighted {
-                if let Some(q) = act_scheme.and_then(|s| s.activations[layer].as_ref()) {
-                    // Resolve the format's kernel (its decode-table lookup)
-                    // once for the layer, not once per input.
-                    let sq = q.slice_quantizer();
-                    for t in &mut outs {
-                        sq.quantize_slice(t.data_mut());
-                    }
-                }
-                observer.layer_output(layer, &outs);
-                layer += 1;
-            }
             for &i in &node.inputs {
                 if last_read[i] == idx {
                     values[i] = None;
                 }
             }
-            values[idx] = Some(Arc::new(outs));
+            let mut out = eval_op(&node.op, args);
+            if weighted {
+                if let Some(q) = act_scheme.and_then(|s| s.activations[layer].as_ref()) {
+                    q.slice_quantizer().quantize_slice(out.data_mut());
+                }
+                observer.layer_output(layer, &out);
+                layer += 1;
+            }
+            values[idx] = Some(Arc::new(out));
         }
         let out = values[self.output]
             .take()
             .expect("output node was not evaluated");
-        Arc::try_unwrap(out).unwrap_or_else(|shared| (*shared).clone())
+        Arc::unwrap_or_clone(out)
     }
 
     /// For each node, the index of the last node that reads it (its own
@@ -1014,9 +978,10 @@ impl Model {
 /// so the serving forwards do exactly the per-node work they would with no
 /// hook at all.
 pub trait LayerObserver {
-    /// Sees weighted layer `layer`'s outputs (post-bias, after activation
-    /// quantization), one tensor per batch element.
-    fn layer_output(&mut self, _layer: usize, _outs: &[Tensor]) {}
+    /// Sees weighted layer `layer`'s output (post-bias, after activation
+    /// quantization) for the whole batch: one `[B, …]` tensor, whose
+    /// [`Tensor::unstack`] gives each element's output.
+    fn layer_output(&mut self, _layer: usize, _out: &Tensor) {}
 
     /// Whether to take a [`Snapshot`] at the boundary just before weighted
     /// layer `layer` runs.
@@ -1031,18 +996,18 @@ pub trait LayerObserver {
 impl LayerObserver for () {}
 
 /// What a forward needs to continue from a weighted-layer boundary
-/// ([`Model::resume_observed`]): the value, for each batch element, of
-/// every node computed before the layer's node that the layer or a later
-/// node still reads — residual skips included.
+/// ([`Model::resume_observed`]): the `[B, …]` value of every node computed
+/// before the layer's node that the layer or a later node still reads —
+/// residual skips included.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Weighted-layer ordinal the boundary sits before.
     layer: usize,
     /// Node index of that layer.
     node: usize,
-    /// `(node, one value per batch element)` of every live node, shared
-    /// with the forward that took the snapshot.
-    values: Vec<(usize, Arc<Vec<Tensor>>)>,
+    /// `(node, [B, …] value)` of every live node, shared with the forward
+    /// that took the snapshot.
+    values: Vec<(usize, Arc<Tensor>)>,
 }
 
 impl Snapshot {
@@ -1058,7 +1023,7 @@ impl Snapshot {
     }
 }
 
-/// [`Model::forward_traced`]'s observer: clones each weighted layer's
+/// [`Model::forward_traced`]'s observer: copies out each weighted layer's
 /// output when capture is on.
 struct IrCapture {
     on: bool,
@@ -1066,77 +1031,61 @@ struct IrCapture {
 }
 
 impl LayerObserver for IrCapture {
-    fn layer_output(&mut self, _layer: usize, outs: &[Tensor]) {
+    fn layer_output(&mut self, _layer: usize, out: &Tensor) {
         if self.on {
-            self.irs.extend_from_slice(outs);
+            self.irs.extend(out.unstack());
         }
     }
 }
 
-/// Evaluates one operator on a whole batch of input sets (`args[e]` is
-/// element `e`'s operand list). Weighted ops run once over the batch —
-/// the GEMM-backed ones stack it into one matrix product — and everything
-/// else evaluates per element through [`eval_op`].
-fn eval_op_batch(op: &Op, args: &[Vec<&Tensor>]) -> Vec<Tensor> {
-    let first = || args.iter().map(|a| a[0]).collect::<Vec<&Tensor>>();
+/// Evaluates one operator over a batch: `args` are the node's inputs,
+/// each one `[B, …]` tensor, and the result is the node's `[B, …]` value.
+/// Every op runs once over the whole batch. The GEMM-backed ones make one
+/// matrix product of all the batch's rows, element-wise ops and
+/// `layer_norm` run over all `B` elements' data in one pass, and relu and
+/// GELU write over their input when this node was its last reader.
+fn eval_op(op: &Op, mut args: Vec<Arc<Tensor>>) -> Tensor {
+    let x = &*args[0];
     match op {
+        Op::Input => unreachable!("input nodes are seeded, not evaluated"),
         Op::Conv2d {
             weight,
             bias,
             stride,
             pad,
-        } => conv2d_batch(&first(), weight, bias, *stride, *pad),
+        } => conv2d_batch(x, weight, bias, *stride, *pad),
         Op::DwConv2d {
             weight,
             bias,
             stride,
             pad,
-        } => dwconv2d(&first(), weight, bias, *stride, *pad),
-        Op::Linear { weight, bias } => linear_batch(&first(), weight, bias),
+        } => dwconv2d(x, weight, bias, *stride, *pad),
+        Op::Linear { weight, bias } => linear(x, weight, bias),
         Op::PatchEmbed {
             weight,
             bias,
             patch,
             cls,
             pos,
-        } => patch_embed_batch(&first(), weight, bias, *patch, cls, pos),
-        Op::TokenMerge { weight, bias, grid } => token_merge_batch(&first(), weight, bias, *grid),
-        _ => args.iter().map(|a| eval_op(op, a)).collect(),
-    }
-}
-
-/// Evaluates one unweighted operator on one element's input tensors: the
-/// per-element fallback of [`eval_op_batch`].
-fn eval_op(op: &Op, inputs: &[&Tensor]) -> Tensor {
-    match op {
+        } => patch_embed_batch(x, weight, bias, *patch, cls, pos),
+        Op::TokenMerge { weight, bias, grid } => token_merge_batch(x, weight, bias, *grid),
         Op::Relu => {
-            let mut t = inputs[0].clone();
+            let mut t = Arc::unwrap_or_clone(args.swap_remove(0));
             for v in t.data_mut() {
                 *v = v.max(0.0);
             }
             t
         }
         Op::Gelu => {
-            let mut t = inputs[0].clone();
+            let mut t = Arc::unwrap_or_clone(args.swap_remove(0));
             gelu_in_place(t.data_mut());
             t
         }
-        Op::Add => inputs[0].add(inputs[1]),
-        Op::LayerNorm { gamma, beta } => layer_norm(inputs[0], gamma, beta),
-        Op::Mha { heads } => mha(inputs[0], inputs[1], inputs[2], *heads),
-        Op::MaxPool { k, stride } => max_pool(inputs[0], *k, *stride),
-        Op::GlobalAvgPool => global_avg_pool(inputs[0]),
-        Op::MeanTokens => mean_tokens(inputs[0]),
-        Op::Flatten => {
-            let t = inputs[0];
-            t.reshaped(&[t.len()])
-        }
-        Op::Input => unreachable!("input nodes are seeded, not evaluated"),
-        Op::Conv2d { .. }
-        | Op::DwConv2d { .. }
-        | Op::Linear { .. }
-        | Op::PatchEmbed { .. }
-        | Op::TokenMerge { .. } => unreachable!("weighted ops run in eval_op_batch"),
+        Op::Add => x.add(&args[1]),
+        Op::LayerNorm { gamma, beta } => layer_norm(x, gamma, beta),
+        Op::Mha { heads } => mha(x, &args[1], &args[2], *heads),
+        Op::GlobalAvgPool => global_avg_pool(x),
+        Op::MeanTokens => mean_tokens(x),
     }
 }
 
@@ -1187,39 +1136,13 @@ fn gelu_in_place(xs: &mut [f32]) {
     });
 }
 
-/// Stacks per-element `(rows, row_data)` blocks into one `[ΣR, cols]`
-/// product against `w` and re-splits the result rows per element — the
-/// one-GEMM-per-layer core of [`Model::forward_batch`]. The blocked
-/// kernel computes each output row from its own left-hand row only, so
-/// the stacked product is bit-identical to one GEMM per element.
-fn stacked_matmul_t<S: AsRef<[f32]> + Into<Vec<f32>>>(
-    mut parts: Vec<(usize, S)>,
-    cols: usize,
-    w: &WeightStorage,
-) -> Vec<Vec<f32>> {
-    let out_f = w.shape()[0];
-    if parts.len() == 1 {
-        // Single-input fast path (every `Model::forward` GEMM): move the
-        // lone buffer into the GEMM and hand its product back whole — no
-        // stacking copy, no re-slicing copy.
-        let (r, d) = parts.pop().expect("one part");
-        let prod = matmul_t_storage(&Tensor::from_vec(&[r, cols], d.into()), w);
-        return vec![prod.into_data()];
+/// Adds `bias` to every row of a row-major `[rows, bias.len()]` product.
+fn add_bias(rows: &mut [f32], bias: &[f32]) {
+    for row in rows.chunks_exact_mut(bias.len()) {
+        for (v, b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
     }
-    let total: usize = parts.iter().map(|(r, _)| r).sum();
-    let mut stacked = Vec::with_capacity(total * cols);
-    for (_, d) in &parts {
-        stacked.extend_from_slice(d.as_ref());
-    }
-    let prod = matmul_t_storage(&Tensor::from_vec(&[total, cols], stacked), w);
-    let pd = prod.data();
-    let mut out = Vec::with_capacity(parts.len());
-    let mut off = 0usize;
-    for (r, _) in &parts {
-        out.push(pd[off * out_f..(off + r) * out_f].to_vec());
-        off += r;
-    }
-    out
 }
 
 /// One sliding-window sweep over a `[c, h, w]` image: a `kh × kw` kernel
@@ -1371,76 +1294,71 @@ impl Window {
     }
 }
 
+/// The batch size of a `[B, c, h, w]` batch of images, and the sweep of a
+/// `kh × kw` kernel at `stride` over each padded image ([`Window::new`]).
+fn batch_window(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> (usize, Window) {
+    let (&b, image) = x.shape().split_first().expect("a batch has rank >= 1");
+    (b, Window::new(image, kh, kw, stride, pad))
+}
+
 /// The im2col rows of a whole batch, filled straight into the stacked GEMM
 /// operand `[B·oh·ow, c·kh·kw]`: one buffer per layer, each image's rows
 /// written in place. A padded window reads every image through one
 /// zero-bordered copy per layer, whose interior each image rewrites.
-fn im2col_stacked(xs: &[&Tensor], win: &Window) -> Tensor {
+fn im2col_stacked(x: &Tensor, win: &Window) -> Tensor {
     let block = win.positions() * win.patch_len();
-    let mut cols = vec![0.0f32; xs.len() * block];
+    let images = x.data().chunks_exact(win.c * win.h * win.w);
+    let mut cols = vec![0.0f32; images.len() * block];
     let padded_len = win.c * (win.h + 2 * win.pad) * (win.w + 2 * win.pad);
     let mut padded = vec![0.0f32; if win.pad > 0 { padded_len } else { 0 }];
-    for (e, x) in xs.iter().enumerate() {
-        assert_eq!(
-            x.shape(),
-            &[win.c, win.h, win.w],
-            "batch elements must share one image shape"
-        );
+    for (image, dst) in images.zip(cols.chunks_exact_mut(block)) {
         let image = if win.pad > 0 {
-            win.pad_into(x.data(), &mut padded);
+            win.pad_into(image, &mut padded);
             &padded
         } else {
-            x.data()
+            image
         };
-        win.im2col_into(image, &mut cols[e * block..(e + 1) * block]);
+        win.im2col_into(image, dst);
     }
-    Tensor::from_vec(&[xs.len() * win.positions(), win.patch_len()], cols)
+    Tensor::from_vec(&[cols.len() / win.patch_len(), win.patch_len()], cols)
 }
 
-/// The im2col operand of a batch of `[c, h, w]` images under a `kh × kw`
-/// window at `stride`, with `pad` implicit zeros on every border:
+/// The im2col operand of a `[B, c, h, w]` batch of images under a `kh ×
+/// kw` window at `stride`, with `pad` implicit zeros on every border:
 /// `[B·oh·ow, c·kh·kw]`, each row laid out `[c][ky][kx]`. It is the left
 /// GEMM operand of every convolution and patch embedding, exposed so the
 /// fill can be timed and checked against [`im2col_oracle`] on its own.
 ///
 /// # Panics
 ///
-/// Panics if `xs` is empty, if the images' shapes differ, or if the
-/// window does not fit the padded image.
-pub fn im2col(xs: &[&Tensor], kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
-    let first = xs.first().expect("im2col needs at least one image");
-    im2col_stacked(xs, &Window::new(first.shape(), kh, kw, stride, pad))
+/// Panics unless `x` is `[B, c, h, w]` and the window fits the padded
+/// image.
+pub fn im2col(x: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
+    im2col_stacked(x, &batch_window(x, kh, kw, stride, pad).1)
 }
 
-/// im2col-based 2-D convolution over a batch: every image's patch rows
-/// fill one stacked operand for a single GEMM against the (possibly
-/// packed) filter bank, read in place as `[c_out, c_in·kh·kw]`. Each
-/// image's `[c_out, oh, ow]` output (product + bias) is written once,
-/// straight from its block of the stacked product.
-fn conv2d_batch(
-    xs: &[&Tensor],
-    w: &WeightStorage,
-    bias: &[f32],
-    stride: usize,
-    pad: usize,
-) -> Vec<Tensor> {
-    let Some(first) = xs.first() else {
-        return Vec::new();
-    };
+/// im2col-based 2-D convolution over a `[B, c_in, h, w]` batch: every
+/// image's patch rows fill one stacked operand for a single GEMM against
+/// the (possibly packed) filter bank, read in place as `[c_out,
+/// c_in·kh·kw]`. Each image's `[c_out, oh, ow]` block of the `[B, c_out,
+/// oh, ow]` output (product + bias) is written once, straight from its
+/// block of the stacked product.
+fn conv2d_batch(x: &Tensor, w: &WeightStorage, bias: &[f32], stride: usize, pad: usize) -> Tensor {
     let (c_out, c_in, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
     assert_eq!(bias.len(), c_out, "conv2d bias length mismatch");
-    let win = Window::new(first.shape(), kh, kw, stride, pad);
+    let (b, win) = batch_window(x, kh, kw, stride, pad);
     assert_eq!(win.c, c_in, "conv2d channel mismatch");
-    let prod = matmul_t_storage(&im2col_stacked(xs, &win), w);
-    let rows = win.positions();
-    (0..xs.len())
-        .map(|e| {
-            let pd = &prod.data()[e * rows * c_out..(e + 1) * rows * c_out];
-            let mut out = vec![0.0f32; c_out * rows];
-            transpose_into(pd, c_out, &mut out, rows, |v, co| v + bias[co]);
-            Tensor::from_vec(&[c_out, win.oh, win.ow], out)
-        })
-        .collect()
+    let prod = matmul_t_storage(&im2col_stacked(x, &win), w);
+    let block = win.positions() * c_out;
+    let mut out = vec![0.0f32; b * block];
+    for (pd, o) in prod
+        .data()
+        .chunks_exact(block)
+        .zip(out.chunks_exact_mut(block))
+    {
+        transpose_into(pd, c_out, o, win.positions(), |v, co| v + bias[co]);
+    }
+    Tensor::from_vec(&[b, c_out, win.oh, win.ow], out)
 }
 
 /// The number of channels [`dwconv2d`] computes side by side, and the
@@ -1485,7 +1403,7 @@ fn transpose_into<T: Copy>(
 }
 
 /// Depthwise convolution over a batch: weight `[c, kh, kw]` (dense or
-/// packed) over `[c, h, w]` images. Every output element is its channel's
+/// packed) over a `[B, c, h, w]` batch of images, giving `[B, c, oh, ow]`. Every output element is its channel's
 /// bias plus `x·w` for each in-bounds tap, added in ascending `(ky, kx)`
 /// order. Out-of-bounds taps are skipped, never added as `0·w`: that
 /// would turn a `-0.0` sum into `+0.0`, and an infinite or NaN weight into
@@ -1506,21 +1424,11 @@ fn transpose_into<T: Copy>(
 ///
 /// # Panics
 ///
-/// Panics if the weight is not `[c, kh, kw]` for the images' `c`, if the
-/// bias length is not `c`, if the images' shapes differ, or if the window
-/// does not fit the padded image.
-pub fn dwconv2d(
-    xs: &[&Tensor],
-    w: &WeightStorage,
-    bias: &[f32],
-    stride: usize,
-    pad: usize,
-) -> Vec<Tensor> {
-    let Some(first) = xs.first() else {
-        return Vec::new();
-    };
+/// Panics unless `x` is `[B, c, h, w]`, the weight is `[c, kh, kw]`, the
+/// bias length is `c` and the window fits the padded image.
+pub fn dwconv2d(x: &Tensor, w: &WeightStorage, bias: &[f32], stride: usize, pad: usize) -> Tensor {
     let (cw, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2]);
-    let win = Window::new(first.shape(), kh, kw, stride, pad);
+    let (batch, win) = batch_window(x, kh, kw, stride, pad);
     let Window {
         c,
         h,
@@ -1585,39 +1493,33 @@ pub fn dwconv2d(
     }
     let mut xt = vec![[0.0f32; LANES]; h * wd * groups];
     let mut yt = vec![[0.0f32; LANES]; oh * ow * groups];
-    xs.iter()
-        .map(|x| {
-            assert_eq!(
-                x.shape(),
-                &[c, h, wd],
-                "batch elements must share one image shape"
-            );
-            transpose_into(x.data(), h * wd, xt.as_flattened_mut(), cp, |v, _| v);
-            let mut ys = yt.chunks_exact_mut(groups);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let y = ys.next().expect("one output per position");
-                    if rows.contains(&oy) && cols.contains(&ox) {
-                        let at = ((oy * stride - pad) * wd + ox * stride - pad) * groups;
-                        dw_interior_3x3(&xt[at..], &offsets, &weights, &bp, y);
-                    } else {
-                        let p = oy * ow + ox;
-                        let plan = &plan[starts[p]..starts[p + 1]];
-                        for (g, (y, &b)) in y.iter_mut().zip(&bp).enumerate() {
-                            let mut acc = b;
-                            for &(ix, iw) in plan {
-                                add_tap(&mut acc, &xt[ix + g], &wt[iw + g]);
-                            }
-                            *y = acc;
+    let mut out = vec![0.0f32; batch * c * oh * ow];
+    let images = x.data().chunks_exact(c * h * wd);
+    for (image, dst) in images.zip(out.chunks_exact_mut(c * oh * ow)) {
+        transpose_into(image, h * wd, xt.as_flattened_mut(), cp, |v, _| v);
+        let mut ys = yt.chunks_exact_mut(groups);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let y = ys.next().expect("one output per position");
+                if rows.contains(&oy) && cols.contains(&ox) {
+                    let at = ((oy * stride - pad) * wd + ox * stride - pad) * groups;
+                    dw_interior_3x3(&xt[at..], &offsets, &weights, &bp, y);
+                } else {
+                    let p = oy * ow + ox;
+                    let plan = &plan[starts[p]..starts[p + 1]];
+                    for (g, (y, &b)) in y.iter_mut().zip(&bp).enumerate() {
+                        let mut acc = b;
+                        for &(ix, iw) in plan {
+                            add_tap(&mut acc, &xt[ix + g], &wt[iw + g]);
                         }
+                        *y = acc;
                     }
                 }
             }
-            let mut out = vec![0.0f32; c * oh * ow];
-            transpose_into(yt.as_flattened(), cp, &mut out, oh * ow, |v, _| v);
-            Tensor::from_vec(&[c, oh, ow], out)
-        })
-        .collect()
+        }
+        transpose_into(yt.as_flattened(), cp, dst, oh * ow, |v, _| v);
+    }
+    Tensor::from_vec(&[batch, c, oh, ow], out)
 }
 
 /// One 3×3 output position of [`dwconv2d`] whose taps all lie in bounds:
@@ -1732,70 +1634,45 @@ pub fn dwconv2d_oracle(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad:
     Tensor::from_vec(&[c, oh, ow], out)
 }
 
-/// Linear layer over a batch of rank-1 `[in]` or rank-2 `[T, in]` inputs:
-/// every element's rows join one stacked GEMM against the weights.
-fn linear_batch(xs: &[&Tensor], w: &WeightStorage, bias: &[f32]) -> Vec<Tensor> {
+/// Linear layer over a `[B, in]` or `[B, T, in]` batch: the batch's rows,
+/// read in place, are one GEMM's left operand, and the output keeps the
+/// input's shape with `out` features in place of `in`.
+fn linear(x: &Tensor, w: &WeightStorage, bias: &[f32]) -> Tensor {
     let (out_f, in_f) = (w.shape()[0], w.shape()[1]);
     assert_eq!(bias.len(), out_f, "linear bias length mismatch");
-    // Activations are borrowed straight into the stacked GEMM buffer —
-    // one copy, not two, on the hottest path in the crate.
-    let parts: Vec<(usize, &[f32])> = xs
-        .iter()
-        .map(|x| match x.shape().len() {
-            1 => {
-                assert_eq!(x.len(), in_f, "linear input length mismatch");
-                (1, x.data())
-            }
-            2 => {
-                assert_eq!(x.shape()[1], in_f, "linear input feature mismatch");
-                (x.shape()[0], x.data())
-            }
-            r => panic!("linear expects rank-1 or rank-2 input, got rank-{r}"),
-        })
-        .collect();
-    let prods = stacked_matmul_t(parts, in_f, w);
-    xs.iter()
-        .zip(prods)
-        .map(|(x, mut pd)| {
-            for row in pd.chunks_mut(out_f) {
-                for (v, b) in row.iter_mut().zip(bias) {
-                    *v += b;
-                }
-            }
-            if x.shape().len() == 1 {
-                Tensor::from_vec(&[out_f], pd)
-            } else {
-                Tensor::from_vec(&[x.shape()[0], out_f], pd)
-            }
-        })
-        .collect()
+    assert_eq!(
+        x.shape().last(),
+        Some(&in_f),
+        "linear input feature mismatch"
+    );
+    let mut out = matmul_t_storage(x, w).into_data();
+    add_bias(&mut out, bias);
+    let mut shape = x.shape().to_vec();
+    *shape.last_mut().expect("rank >= 1") = out_f;
+    Tensor::from_vec(&shape, out)
 }
 
-/// ViT patch embedding over a batch: all images' patch matrices share one
-/// stacked projection GEMM.
+/// ViT patch embedding over a `[B, C, H, W]` batch: all images' patch
+/// matrices share one stacked projection GEMM, giving `[B, T(+1), dim]`.
 fn patch_embed_batch(
-    xs: &[&Tensor],
+    x: &Tensor,
     w: &WeightStorage,
     bias: &[f32],
     patch: usize,
     cls: &[f32],
     pos: &Tensor,
-) -> Vec<Tensor> {
-    let Some(first) = xs.first() else {
-        return Vec::new();
-    };
+) -> Tensor {
     let (dim, plen) = (w.shape()[0], w.shape()[1]);
-    let (h, wd) = (first.shape()[1], first.shape()[2]);
-    assert!(
-        h % patch == 0 && wd % patch == 0,
-        "image dims must be divisible by patch size"
-    );
     // The flattened patches `[tokens, c·p·p]` are the im2col rows of a
     // `patch × patch` window at stride `patch`, unpadded.
-    let win = Window::new(first.shape(), patch, patch, patch, 0);
+    let (batch, win) = batch_window(x, patch, patch, patch, 0);
+    assert!(
+        win.h % patch == 0 && win.w % patch == 0,
+        "image dims must be divisible by patch size"
+    );
     assert_eq!(plen, win.patch_len(), "patch embed weight shape mismatch");
     let tokens = win.positions();
-    let prod = matmul_t_storage(&im2col_stacked(xs, &win), w);
+    let prod = matmul_t_storage(&im2col_stacked(x, &win), w);
     // Prepend the cls token (when present: an empty `cls` means a
     // hierarchical model without one), add bias and positional embedding.
     let with_cls = !cls.is_empty();
@@ -1804,35 +1681,32 @@ fn patch_embed_batch(
     }
     let total = tokens + usize::from(with_cls);
     assert_eq!(pos.shape(), &[total, dim], "positional embedding shape");
-    (0..xs.len())
-        .map(|e| {
-            let proj = &prod.data()[e * tokens * dim..(e + 1) * tokens * dim];
-            let mut out = vec![0.0f32; total * dim];
-            let skip = if with_cls {
-                out[..dim].copy_from_slice(cls);
-                1
-            } else {
-                0
-            };
-            for t in 0..tokens {
-                for d in 0..dim {
-                    out[(t + skip) * dim + d] = proj[t * dim + d] + bias[d];
-                }
+    let mut out = vec![0.0f32; batch * total * dim];
+    for (proj, out) in prod
+        .data()
+        .chunks_exact(tokens * dim)
+        .zip(out.chunks_exact_mut(total * dim))
+    {
+        let (head, body) = out.split_at_mut(total * dim - tokens * dim);
+        head.copy_from_slice(cls);
+        for (o, row) in body.chunks_exact_mut(dim).zip(proj.chunks_exact(dim)) {
+            for ((o, p), b) in o.iter_mut().zip(row).zip(bias) {
+                *o = p + b;
             }
-            for (o, p) in out.iter_mut().zip(pos.data()) {
-                *o += p;
-            }
-            Tensor::from_vec(&[total, dim], out)
-        })
-        .collect()
+        }
+        for (o, p) in out.iter_mut().zip(pos.data()) {
+            *o += p;
+        }
+    }
+    Tensor::from_vec(&[batch, total, dim], out)
 }
 
+/// Layer normalization over the last axis: every row of every batch
+/// element in one pass.
 fn layer_norm(x: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
-    let rank = x.shape().len();
     let d = *x.shape().last().expect("layer_norm needs rank >= 1");
     assert_eq!(gamma.len(), d, "layer_norm gamma length mismatch");
     assert_eq!(beta.len(), d, "layer_norm beta length mismatch");
-    assert!(rank <= 2, "layer_norm supports rank-1/2 input");
     let mut out = x.clone();
     for row in out.data_mut().chunks_mut(d) {
         let mean: f32 = row.iter().sum::<f32>() / d as f32;
@@ -1845,41 +1719,53 @@ fn layer_norm(x: &Tensor, gamma: &[f32], beta: &[f32]) -> Tensor {
     out
 }
 
-/// Multi-head attention over pre-projected q, k, v (each `[T, D]`), on the
-/// shared GEMM kernel: per head, the scores are `Q_h · K_hᵀ` and the output
-/// is `softmax(scores) · V_h`. Both products accumulate each element in
+/// Multi-head attention over pre-projected q, k, v (each `[T, D]` per
+/// element, any leading batch axes), on the shared GEMM kernel: per
+/// element and head, the scores are `Q_h · K_hᵀ` and the output is
+/// `softmax(scores) · V_h`. Both products accumulate each element in
 /// ascending `k` from `0.0` — the order of the scalar triple loop this
 /// replaced (kept as the test oracle) — so the result is bit-identical to it.
 fn mha(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
-    let (t, d) = (q.shape()[0], q.shape()[1]);
+    let rank = q.shape().len();
+    assert!(rank >= 2, "mha needs [.., T, D] input");
+    let (t, d) = (q.shape()[rank - 2], q.shape()[rank - 1]);
     assert_eq!(k.shape(), q.shape(), "mha k shape mismatch");
     assert_eq!(v.shape(), q.shape(), "mha v shape mismatch");
     assert!(d % heads == 0, "head count must divide model dim");
     let dh = d / heads;
     let scale = 1.0 / (dh as f32).sqrt();
-    // One head's columns of `x`, gathered into a contiguous `[T, dh]`.
-    let head = |x: &Tensor, off: usize| -> Tensor {
+    // One head's columns of one element's `[T, D]`, gathered into a
+    // contiguous `[T, dh]`.
+    let head = |x: &[f32], off: usize| -> Tensor {
         let mut hd = Vec::with_capacity(t * dh);
-        for row in 0..t {
-            hd.extend_from_slice(&x.data()[row * d + off..row * d + off + dh]);
+        for row in x.chunks_exact(d) {
+            hd.extend_from_slice(&row[off..off + dh]);
         }
         Tensor::from_vec(&[t, dh], hd)
     };
-    let mut out = vec![0.0f32; t * d];
-    for h in 0..heads {
-        let off = h * dh;
-        let mut scores = head(q, off).matmul_t(&head(k, off));
-        for s in scores.data_mut() {
-            *s *= scale;
-        }
-        softmax_rows(&mut scores);
-        let oh = scores.matmul(&head(v, off));
-        for row in 0..t {
-            out[row * d + off..row * d + off + dh]
-                .copy_from_slice(&oh.data()[row * dh..(row + 1) * dh]);
+    let mut out = vec![0.0f32; q.len()];
+    let elems = q
+        .data()
+        .chunks_exact(t * d)
+        .zip(k.data().chunks_exact(t * d));
+    for (((q, k), v), out) in elems
+        .zip(v.data().chunks_exact(t * d))
+        .zip(out.chunks_exact_mut(t * d))
+    {
+        for h in 0..heads {
+            let off = h * dh;
+            let mut scores = head(q, off).matmul_t(&head(k, off));
+            for s in scores.data_mut() {
+                *s *= scale;
+            }
+            softmax_rows(&mut scores);
+            let oh = scores.matmul(&head(v, off));
+            for (row, o) in out.chunks_exact_mut(d).zip(oh.data().chunks_exact(dh)) {
+                row[off..off + dh].copy_from_slice(o);
+            }
         }
     }
-    Tensor::from_vec(&[t, d], out)
+    Tensor::from_vec(q.shape(), out)
 }
 
 /// The scalar triple-loop attention [`mha`] replaced: the bit-identity
@@ -1917,94 +1803,72 @@ fn mha_oracle(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
     Tensor::from_vec(&[t, d], out)
 }
 
-/// Swin patch merging over a batch: 2×2 token groups concatenated, then
-/// one stacked projection GEMM for the whole batch.
-fn token_merge_batch(xs: &[&Tensor], w: &WeightStorage, bias: &[f32], grid: usize) -> Vec<Tensor> {
+/// Swin patch merging over a `[B, g², D]` batch: 2×2 token groups
+/// concatenated into one `[B·(g/2)², 4·D]` operand, then one projection
+/// GEMM for the whole batch, giving `[B, (g/2)², out]`.
+fn token_merge_batch(x: &Tensor, w: &WeightStorage, bias: &[f32], grid: usize) -> Tensor {
     let (out_f, in_f) = (w.shape()[0], w.shape()[1]);
     assert_eq!(bias.len(), out_f, "token_merge bias length mismatch");
     assert!(
         grid.is_multiple_of(2),
         "grid side must be even for 2x2 merging"
     );
+    let (b, t, d) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+    assert_eq!(t, grid * grid, "token count must equal grid^2");
+    assert_eq!(in_f, 4 * d, "token_merge weight must be [out, 4*D]");
     let og = grid / 2;
-    let parts: Vec<(usize, Vec<f32>)> = xs
-        .iter()
-        .map(|x| {
-            let (t, d) = (x.shape()[0], x.shape()[1]);
-            assert_eq!(t, grid * grid, "token count must equal grid^2");
-            assert_eq!(in_f, 4 * d, "token_merge weight must be [out, 4*D]");
-            let mut grouped = vec![0.0f32; og * og * 4 * d];
-            for gy in 0..og {
-                for gx in 0..og {
-                    let row = (gy * og + gx) * 4 * d;
-                    for (slot, (dy, dx)) in [(0, 0), (0, 1), (1, 0), (1, 1)].iter().enumerate() {
-                        let tok = (2 * gy + dy) * grid + (2 * gx + dx);
-                        grouped[row + slot * d..row + (slot + 1) * d]
-                            .copy_from_slice(&x.data()[tok * d..(tok + 1) * d]);
-                    }
-                }
-            }
-            (og * og, grouped)
-        })
-        .collect();
-    let prods = stacked_matmul_t(parts, in_f, w);
-    prods
-        .into_iter()
-        .map(|mut pd| {
-            for row in pd.chunks_mut(out_f) {
-                for (v, b) in row.iter_mut().zip(bias) {
-                    *v += b;
-                }
-            }
-            Tensor::from_vec(&[og * og, out_f], pd)
-        })
-        .collect()
-}
-
-fn max_pool(x: &Tensor, k: usize, stride: usize) -> Tensor {
-    let Window {
-        c, h, w, oh, ow, ..
-    } = Window::new(x.shape(), k, k, stride, 0);
-    let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
-    for ch in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for dy in 0..k {
-                    for dx in 0..k {
-                        let v = x.data()[ch * h * w + (oy * stride + dy) * w + (ox * stride + dx)];
-                        best = best.max(v);
-                    }
-                }
-                out[ch * oh * ow + oy * ow + ox] = best;
+    let mut grouped = vec![0.0f32; b * og * og * in_f];
+    for (tokens, dst) in x
+        .data()
+        .chunks_exact(t * d)
+        .zip(grouped.chunks_exact_mut(og * og * in_f))
+    {
+        for (g, row) in dst.chunks_exact_mut(in_f).enumerate() {
+            let (gy, gx) = (g / og, g % og);
+            for (slot, (dy, dx)) in [(0, 0), (0, 1), (1, 0), (1, 1)].iter().enumerate() {
+                let tok = (2 * gy + dy) * grid + (2 * gx + dx);
+                row[slot * d..(slot + 1) * d].copy_from_slice(&tokens[tok * d..(tok + 1) * d]);
             }
         }
     }
-    Tensor::from_vec(&[c, oh, ow], out)
+    let mut out = matmul_t_storage(&Tensor::from_vec(&[b * og * og, in_f], grouped), w).into_data();
+    add_bias(&mut out, bias);
+    Tensor::from_vec(&[b, og * og, out_f], out)
 }
 
+/// Global average pooling `[.., C, H, W] → [.., C]`: the mean of each of
+/// the batch's `H·W` planes.
 fn global_avg_pool(x: &Tensor) -> Tensor {
-    let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let mut out = vec![0.0f32; c];
-    for (ch, slot) in out.iter_mut().enumerate() {
-        let s: f32 = x.data()[ch * h * w..(ch + 1) * h * w].iter().sum();
-        *slot = s / (h * w) as f32;
-    }
-    Tensor::from_vec(&[c], out)
+    let rank = x.shape().len();
+    assert!(rank >= 2, "global_avg_pool needs [.., H, W] input");
+    let hw = x.shape()[rank - 2] * x.shape()[rank - 1];
+    let out = x
+        .data()
+        .chunks_exact(hw)
+        .map(|plane| plane.iter().sum::<f32>() / hw as f32)
+        .collect();
+    Tensor::from_vec(&x.shape()[..rank - 2], out)
 }
 
+/// Mean over tokens `[.., T, D] → [.., D]`, per batch element.
 fn mean_tokens(x: &Tensor) -> Tensor {
-    let (t, d) = (x.shape()[0], x.shape()[1]);
-    let mut out = vec![0.0f32; d];
-    for row in x.data().chunks(d) {
-        for (o, &v) in out.iter_mut().zip(row) {
-            *o += v;
+    let rank = x.shape().len();
+    assert!(rank >= 2, "mean_tokens needs [.., T, D] input");
+    let (t, d) = (x.shape()[rank - 2], x.shape()[rank - 1]);
+    let mut shape = x.shape().to_vec();
+    shape.remove(rank - 2);
+    let mut out = vec![0.0f32; x.len() / t];
+    for (o, tokens) in out.chunks_exact_mut(d).zip(x.data().chunks_exact(t * d)) {
+        for row in tokens.chunks_exact(d) {
+            for (o, &v) in o.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        for o in o {
+            *o /= t as f32;
         }
     }
-    for o in &mut out {
-        *o /= t as f32;
-    }
-    Tensor::from_vec(&[d], out)
+    Tensor::from_vec(&shape, out)
 }
 
 #[cfg(test)]
@@ -2023,16 +1887,18 @@ mod tests {
         )
     }
 
-    /// Single-input shims over the batch kernels (the pre-batching test
-    /// call shape).
-    fn conv2d(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
-        conv2d_batch(&[x], &w.clone().into(), bias, stride, pad)
-            .pop()
-            .unwrap()
+    /// A batch of one, and its element back: single-input shims over the
+    /// batch kernels (the pre-batching test call shape).
+    fn one(x: &Tensor) -> Tensor {
+        Tensor::stack(std::slice::from_ref(x))
     }
 
-    fn linear(x: &Tensor, w: &Tensor, bias: &[f32]) -> Tensor {
-        linear_batch(&[x], &w.clone().into(), bias).pop().unwrap()
+    fn only(batch: Tensor) -> Tensor {
+        batch.unstack().pop().unwrap()
+    }
+
+    fn conv2d(x: &Tensor, w: &Tensor, bias: &[f32], stride: usize, pad: usize) -> Tensor {
+        only(conv2d_batch(&one(x), &w.clone().into(), bias, stride, pad))
     }
 
     fn patch_embed(
@@ -2043,9 +1909,14 @@ mod tests {
         cls: &[f32],
         pos: &Tensor,
     ) -> Tensor {
-        patch_embed_batch(&[x], &w.clone().into(), bias, patch, cls, pos)
-            .pop()
-            .unwrap()
+        only(patch_embed_batch(
+            &one(x),
+            &w.clone().into(),
+            bias,
+            patch,
+            cls,
+            pos,
+        ))
     }
 
     #[test]
@@ -2089,21 +1960,21 @@ mod tests {
         let x = seq_tensor(&[3, 6, 6], 1.0);
         let w = seq_tensor(&[3, 3, 3], 1.0);
         let w = WeightStorage::from(w);
-        let out = dwconv2d(&[&x], &w, &[0.0; 3], 1, 1).pop().unwrap();
+        let out = only(dwconv2d(&one(&x), &w, &[0.0; 3], 1, 1));
         assert_eq!(out.shape(), &[3, 6, 6]);
         // Channel 0 output must not depend on channel 1 input.
         let mut x2 = x.clone();
         for v in &mut x2.data_mut()[36..72] {
             *v += 10.0;
         }
-        let out2 = dwconv2d(&[&x2], &w, &[0.0; 3], 1, 1).pop().unwrap();
+        let out2 = only(dwconv2d(&one(&x2), &w, &[0.0; 3], 1, 1));
         assert_eq!(&out.data()[..36], &out2.data()[..36]);
         assert_ne!(&out.data()[36..72], &out2.data()[36..72]);
     }
 
     #[test]
     fn linear_rank1_and_rank2() {
-        let w = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
+        let w = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]).into();
         let b = vec![0.5, -0.5];
         let x1 = Tensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
         let y1 = linear(&x1, &w, &b);
@@ -2167,7 +2038,7 @@ mod tests {
     }
 
     #[test]
-    fn max_pool_and_gap() {
+    fn global_avg_pool_averages_each_plane() {
         let x = Tensor::from_vec(
             &[1, 4, 4],
             vec![
@@ -2175,9 +2046,6 @@ mod tests {
                 16.0,
             ],
         );
-        let mp = max_pool(&x, 2, 2);
-        assert_eq!(mp.shape(), &[1, 2, 2]);
-        assert_eq!(mp.data(), &[6.0, 8.0, 14.0, 16.0]);
         let gap = global_avg_pool(&x);
         assert_eq!(gap.data(), &[8.5]);
     }
@@ -2409,7 +2277,7 @@ mod tests {
 
         let g = eval_op(
             &Op::Gelu,
-            &[&Tensor::from_vec(&[3], vec![-10.0, 0.0, 10.0])],
+            vec![Arc::new(Tensor::from_vec(&[3], vec![-10.0, 0.0, 10.0]))],
         );
         assert!(g.data()[0].abs() < 1e-3); // gelu(−10) ≈ 0
         assert_eq!(g.data()[1], 0.0);
@@ -2604,12 +2472,12 @@ mod tests {
                     })
                     .collect()
             };
-            let images = batch_of(c, 10);
-            let xs: Vec<&Tensor> = images.iter().collect();
+            let xs = batch_of(c, 10);
+            let images = Tensor::stack(&xs);
 
             // Stacked im2col fill ≡ per-image oracle, bit for bit.
             let win = Window::new(xs[0].shape(), kh, kw, stride, pad);
-            let stacked = im2col_stacked(&xs, &win);
+            let stacked = im2col_stacked(&images, &win);
             let want: Vec<f32> =
                 xs.iter().flat_map(|x| im2col_oracle(x, kh, kw, stride, pad)).collect();
             prop_assert_eq!(stacked.shape(), &[batch * win.positions(), c * kh * kw][..]);
@@ -2630,7 +2498,7 @@ mod tests {
                 (WeightStorage::from(wt.clone()), wt.clone()),
                 (WeightStorage::from(packed.clone()), packed.dequantize()),
             ] {
-                let got = conv2d_batch(&xs, &storage, &bias, stride, pad);
+                let got = conv2d_batch(&images, &storage, &bias, stride, pad).unstack();
                 prop_assert_eq!(got.len(), batch);
                 for (x, g) in xs.iter().zip(&got) {
                     let want = conv2d_oracle(x, &values, &bias, stride, pad);
@@ -2643,8 +2511,8 @@ mod tests {
 
             // dwconv2d over the whole batch ≡ per-image oracle, with dense
             // weights salted with ±inf and NaN and with packed LP8 codes.
-            let dw_images = batch_of(c_dw, 20);
-            let dxs: Vec<&Tensor> = dw_images.iter().collect();
+            let dxs = batch_of(c_dw, 20);
+            let dw_images = Tensor::stack(&dxs);
             let weight_specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
             let wt = salted_values(c_dw * kh * kw, seed, 3, &weight_specials);
             let wt = Tensor::from_vec(&[c_dw, kh, kw], wt);
@@ -2657,7 +2525,7 @@ mod tests {
                 (WeightStorage::from(wt.clone()), wt.clone()),
                 (WeightStorage::from(packed.clone()), packed.dequantize()),
             ] {
-                let got = dwconv2d(&dxs, &storage, &bias, stride, pad);
+                let got = dwconv2d(&dw_images, &storage, &bias, stride, pad).unstack();
                 prop_assert_eq!(got.len(), batch);
                 for (x, g) in dxs.iter().zip(&got) {
                     let want = dwconv2d_oracle(x, &values, &bias, stride, pad);
@@ -2677,14 +2545,7 @@ mod tests {
         conv2d(&x, &seq_tensor(&[1, 2, 5, 5], 0.5), &[0.0], 1, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "a 3x3 window at stride 2, pad 0 does not fit a 1x2x2 image")]
-    fn max_pool_rejects_a_window_larger_than_its_input() {
-        max_pool(&seq_tensor(&[1, 2, 2], 1.0), 3, 2);
-    }
-
-    /// A small model touching every GEMM-backed weighted op plus the
-    /// per-element fallbacks (relu, layer norm).
+    /// A small model with linear layers, relu and layer norm.
     fn mixed_mlp() -> Model {
         let mut m = Model::new("mixed", &[6], 3);
         let x = m.input_node();

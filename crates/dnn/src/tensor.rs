@@ -146,6 +146,38 @@ impl Tensor {
         }
     }
 
+    /// Stacks equal-shaped tensors along a new leading (batch) axis:
+    /// `B` tensors of shape `[…]` become one `[B, …]` tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or the shapes differ.
+    pub fn stack(parts: &[Tensor]) -> Tensor {
+        let first = parts.first().expect("stack needs at least one tensor");
+        let mut data = Vec::with_capacity(parts.len() * first.len());
+        for t in parts {
+            assert_eq!(t.shape, first.shape, "stack requires matching shapes");
+            data.extend_from_slice(&t.data);
+        }
+        let mut shape = vec![parts.len()];
+        shape.extend_from_slice(&first.shape);
+        Tensor { shape, data }
+    }
+
+    /// Splits along the leading (batch) axis: the inverse of
+    /// [`Tensor::stack`], one `[…]` tensor per index of a `[B, …]` tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a rank-0 tensor.
+    pub fn unstack(&self) -> Vec<Tensor> {
+        let (&b, elem) = self.shape.split_first().expect("unstack needs rank >= 1");
+        let len = elem.iter().product::<usize>();
+        (0..b)
+            .map(|e| Tensor::from_vec(elem, self.data[e * len..(e + 1) * len].to_vec()))
+            .collect()
+    }
+
     /// Element-wise addition. Shapes must match exactly.
     ///
     /// # Panics
@@ -206,18 +238,19 @@ impl Tensor {
     /// `rhs` may have any rank ≥ 1: it is read as the row-major
     /// `[shape[0], rest]` matrix its data already is, so a conv filter bank
     /// `[out, in, kh, kw]` multiplies as `[out, in·kh·kw]` with no reshape
-    /// copy.
+    /// copy. `self` may have any rank ≥ 1 too: it is read as the `[rest,
+    /// last]` matrix of its rows, so a `[B, T, in]` batch of token rows is
+    /// one `[B·T, in]` operand, in place.
     ///
     /// Bit-identical to [`Tensor::matmul_t_naive`] (same per-element
     /// accumulation order), several times faster on layer-sized operands.
     ///
     /// # Panics
     ///
-    /// Panics unless `self` is rank-2, `rhs` has rank ≥ 1, and the inner
-    /// dimensions match.
+    /// Panics unless both operands have rank ≥ 1 and the inner dimensions
+    /// match.
     pub fn matmul_t(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_t lhs must be rank-2");
-        let (m, k) = (self.shape[0], self.shape[1]);
+        let (m, k) = lhs_view(&self.shape);
         let (n, k2) = row_view(&rhs.shape);
         assert_eq!(k, k2, "matmul_t inner dimensions differ: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
@@ -243,18 +276,17 @@ impl Tensor {
     /// (≤ [`GEMM_KC`]·[`GEMM_NC`] floats) is the only decoded state, reused
     /// across all `M` left-hand rows of the batch.
     ///
-    /// Like [`Tensor::matmul_t`], `rhs` may have any rank ≥ 1 and is read
-    /// as `[shape[0], rest]`.
+    /// Like [`Tensor::matmul_t`], `self` is read as `[rest, last]` and
+    /// `rhs` as `[shape[0], rest]`, both of any rank ≥ 1.
     ///
     /// Bit-identical to `self.matmul_t(&rhs.dequantize())`.
     ///
     /// # Panics
     ///
-    /// Panics unless `self` is rank-2, `rhs` has rank ≥ 1, and the inner
-    /// dimensions match.
+    /// Panics unless both operands have rank ≥ 1 and the inner dimensions
+    /// match.
     pub fn matmul_t_packed(&self, rhs: &QTensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_t lhs must be rank-2");
-        let (m, k) = (self.shape[0], self.shape[1]);
+        let (m, k) = lhs_view(&self.shape);
         let (n, k2) = row_view(rhs.shape());
         assert_eq!(k, k2, "matmul_t inner dimensions differ: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
@@ -326,6 +358,15 @@ impl Tensor {
         }
         self.data.iter().sum::<f32>() / self.data.len() as f32
     }
+}
+
+/// A row-major tensor shape read as the matrix of its last-axis rows,
+/// `[rest, last]`.
+fn lhs_view(shape: &[usize]) -> (usize, usize) {
+    let (&k, rows) = shape
+        .split_last()
+        .expect("matmul_t lhs must have rank >= 1");
+    (rows.iter().product(), k)
 }
 
 /// A row-major tensor shape read as a matrix `[shape[0], rest]`.

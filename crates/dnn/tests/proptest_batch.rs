@@ -9,7 +9,9 @@
 //!   memoized GELU, the stacked im2col fill (3×3 at strides 1 and 2, 1×1
 //!   unpadded) and the channel-vectorized depthwise convolution (strides
 //!   1 and 2, over one full 8-channel group plus a tail)
-//!   across batch sizes;
+//!   across batch sizes — and for the zoo's deit_s (patch embedding with
+//!   a class token) and swin_t (patch embedding without one, token
+//!   merging, token pooling) at batch sizes 1, 3 and 8;
 //! * packed-weight forwards ([`Model::quantize_weights_packed`]) are
 //!   bit-identical to fake-quantized `f32` forwards
 //!   ([`Model::quantize_weights`]) for **all 7 format families**;
@@ -232,8 +234,8 @@ struct Recorder {
 }
 
 impl LayerObserver for Recorder {
-    fn layer_output(&mut self, layer: usize, outs: &[Tensor]) {
-        self.outs.push((layer, outs.to_vec()));
+    fn layer_output(&mut self, layer: usize, out: &Tensor) {
+        self.outs.push((layer, out.unstack()));
     }
 
     fn wants_snapshot(&self, _layer: usize) -> bool {
@@ -242,6 +244,21 @@ impl LayerObserver for Recorder {
 
     fn snapshot(&mut self, snap: Snapshot) {
         self.snaps.push(snap);
+    }
+}
+
+/// `m.forward_batch_quant(inputs, act)` ≡ one
+/// `m.forward_traced(input, act, false)` per input, bit for bit.
+fn assert_batch_matches_singles(
+    m: &Model,
+    inputs: &[Tensor],
+    act: Option<&QuantScheme>,
+    ctx: &str,
+) {
+    let batched = m.forward_batch_quant(inputs, act);
+    assert_eq!(batched.len(), inputs.len(), "{ctx}: batch");
+    for (input, got) in inputs.iter().zip(&batched) {
+        assert_bitwise_eq(got, &m.forward_traced(input, act, false).output, ctx);
     }
 }
 
@@ -313,6 +330,29 @@ fn assert_zoo_resume_matches_full(name: &str) {
     }
 }
 
+/// Batch ≡ singles over a zoo model at batch sizes 1, 3 and 8, with no
+/// activation quantization and with fitted LP8 activations.
+fn assert_zoo_batch_matches_singles(name: &str) {
+    let m = dnn::models::by_name(name);
+    let calib = dnn::data::calibration_set(&m);
+    let act = lp8_activations(&m, &calib[0]);
+    for b in [1, 3, 8] {
+        let inputs = &calib[..b];
+        assert_batch_matches_singles(&m, inputs, None, &format!("{name} B={b}"));
+        assert_batch_matches_singles(&m, inputs, Some(&act), &format!("{name} B={b} lp8"));
+    }
+}
+
+#[test]
+fn batched_forward_is_bit_identical_to_singles_deit_s() {
+    assert_zoo_batch_matches_singles("deit_s");
+}
+
+#[test]
+fn batched_forward_is_bit_identical_to_singles_swin_t() {
+    assert_zoo_batch_matches_singles("swin_t");
+}
+
 #[test]
 fn resumed_forward_is_bit_identical_to_full_resnet18() {
     assert_zoo_resume_matches_full("resnet18");
@@ -369,10 +409,7 @@ proptest! {
     ) {
         let m = mlp(w1, w2, w3, b);
         let inputs: Vec<Tensor> = xs.into_iter().map(|d| Tensor::from_vec(&[5], d)).collect();
-        let batched = m.forward_batch(&inputs);
-        for (input, got) in inputs.iter().zip(&batched) {
-            assert_bitwise_eq(got, &m.forward(input), "mlp batch-vs-single");
-        }
+        assert_batch_matches_singles(&m, &inputs, None, "mlp batch-vs-single");
     }
 
     #[test]
@@ -385,19 +422,9 @@ proptest! {
             .into_iter()
             .map(|d| Tensor::from_vec(&CNN_IN, d))
             .collect();
-        let batched = m.forward_batch(&inputs);
-        for (input, got) in inputs.iter().zip(&batched) {
-            assert_bitwise_eq(got, &m.forward(input), "cnn batch-vs-single");
-        }
+        assert_batch_matches_singles(&m, &inputs, None, "cnn batch-vs-single");
         let scheme = lp8_activations(&m, &inputs[0]);
-        let batched = m.forward_batch_quant(&inputs, Some(&scheme));
-        for (input, got) in inputs.iter().zip(&batched) {
-            assert_bitwise_eq(
-                got,
-                &m.forward_traced(input, Some(&scheme), false).output,
-                "cnn lp8-activations batch-vs-single",
-            );
-        }
+        assert_batch_matches_singles(&m, &inputs, Some(&scheme), "cnn lp8-activations batch-vs-single");
     }
 
     #[test]
@@ -407,19 +434,9 @@ proptest! {
     ) {
         let m = transformer(w, b);
         let inputs: Vec<Tensor> = xs.into_iter().map(|d| Tensor::from_vec(&[T, D], d)).collect();
-        let batched = m.forward_batch(&inputs);
-        for (input, got) in inputs.iter().zip(&batched) {
-            assert_bitwise_eq(got, &m.forward(input), "transformer batch-vs-single");
-        }
+        assert_batch_matches_singles(&m, &inputs, None, "transformer batch-vs-single");
         let scheme = lp8_activations(&m, &inputs[0]);
-        let batched = m.forward_batch_quant(&inputs, Some(&scheme));
-        for (input, got) in inputs.iter().zip(&batched) {
-            assert_bitwise_eq(
-                got,
-                &m.forward_traced(input, Some(&scheme), false).output,
-                "transformer lp8-activations batch-vs-single",
-            );
-        }
+        assert_batch_matches_singles(&m, &inputs, Some(&scheme), "transformer lp8-activations batch-vs-single");
     }
 
     #[test]

@@ -235,15 +235,17 @@ impl<'a> CalibObserver<'a> {
 }
 
 impl LayerObserver for CalibObserver<'_> {
-    fn layer_output(&mut self, _layer: usize, outs: &[Tensor]) {
+    fn layer_output(&mut self, _layer: usize, out: &Tensor) {
         if self.pool {
-            for (p, t) in self.pooled.iter_mut().zip(outs) {
-                p.push(kurtosis3(t.data()));
+            let elem = out.len() / self.pooled.len();
+            for (p, t) in self.pooled.iter_mut().zip(out.data().chunks_exact(elem)) {
+                p.push(kurtosis3(t));
             }
         }
         if self.keep_irs > 0 {
-            self.irs
-                .push(outs[..self.keep_irs.min(outs.len())].to_vec());
+            let mut irs = out.unstack();
+            irs.truncate(self.keep_irs);
+            self.irs.push(irs);
         }
     }
 

@@ -57,7 +57,7 @@ fn functional_gemm_reproduces_dnn_linear_layer() {
         .expect("has a linear layer");
     let (w, out_f, in_f) = match &node.op {
         dnn::graph::Op::Linear { weight, .. } => {
-            let dense = weight.to_dense();
+            let dense = weight.as_dense().expect("the zoo builds dense weights");
             (dense.data().to_vec(), weight.shape()[0], weight.shape()[1])
         }
         _ => unreachable!(),
